@@ -12,6 +12,7 @@ from .quadrature import (
     MonomialIntegral,
     OptimalCoefficients,
     apply_quadrature,
+    apply_weights,
     coefficient_matrix,
     cosine_coefficients,
     error_norm,
@@ -37,6 +38,7 @@ __all__ = [
     "SpectrumSamples",
     "UniformGrid",
     "apply_quadrature",
+    "apply_weights",
     "coefficient_matrix",
     "cosine_coefficients",
     "error_norm",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..grid import UniformGrid
-from ..quadrature import coefficient_matrix
+from ..quadrature import apply_weights
 from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic
 
 
@@ -98,13 +98,11 @@ def filter_projections(
     omegas = omega_grid.nodes()
 
     # S(omega, theta) for all angles at once: forward kernel e^{-2 pi i omega t}.
-    forward = coefficient_matrix(det_grid, -omegas)        # (num_omega, num_bins)
-    spectra = forward @ sino.data.T                        # (num_omega, num_angles)
+    spectra = apply_weights(det_grid, -omegas, sino.data.T)  # (num_omega, num_angles)
     spectra *= np.abs(omegas)[:, None]
 
     # Q(t, theta): band-limited inverse evaluated at the detector bins.
-    inverse = coefficient_matrix(omega_grid, det_grid.nodes())  # (num_bins, num_omega)
-    filtered = (inverse @ spectra).T                       # (num_angles, num_bins)
+    filtered = apply_weights(omega_grid, det_grid.nodes(), spectra).T  # (num_angles, num_bins)
 
     max_imag = float(np.abs(filtered.imag).max()) if filtered.size else 0.0
     return FilteredSinogram(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,14 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"interval ends must be finite: a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError(f"interval end must exceed start: a={self.a}, b={self.b}")
         if self.n < 1:
             raise ValueError(f"need at least one subinterval, got n={self.n}")
+        if not math.isfinite(self.h):
+            raise ValueError(f"step (b - a)/n overflows: a={self.a}, b={self.b}")
 
     @property
     def h(self) -> float:

@@ -15,6 +15,7 @@ All writers go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import tempfile
@@ -71,7 +72,8 @@ def read_complex_csv(
     """Read a <abscissa>,re,im CSV and validate uniform spacing.
 
     Returns (abscissae, complex values).  Raises FormatError naming the
-    first offending row on non-uniform spacing or malformed content.
+    first offending row on non-uniform spacing, non-finite numbers or
+    malformed content.
     """
     xs: list[float] = []
     vals: list[complex] = []
@@ -87,6 +89,8 @@ def read_complex_csv(
                 x, re, im = (float(c) for c in row)
             except ValueError as exc:
                 raise FormatError(f"{path}: row {row_num}: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(re) and math.isfinite(im)):
+                raise FormatError(f"{path}: row {row_num}: non-finite number")
             xs.append(x)
             vals.append(complex(re, im))
     if len(xs) < 2:

@@ -35,11 +35,14 @@ _NORM_SERIES = np.array(
 )
 
 
-def _polyval_ascending(coeffs, x):
-    result = np.zeros_like(x) * coeffs[0]
-    for c in coeffs[::-1]:
-        result = result * x + c
-    return result
+# The dense path builds at most this many weights at a time, so a long
+# non-uniform lattice never holds the whole M x (n+1) matrix.
+_DENSE_BLOCK_WEIGHTS = 1 << 20
+
+# A lattice takes the chirp-z path when every entry lies within this many
+# ulps of max|omega| of the straight line through its centre entry with the
+# end-to-end mean step; np.linspace and UniformGrid.nodes() stay within one.
+_UNIFORM_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def _interior_factor(theta):
     """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = _polyval_ascending(_INTERIOR_SERIES, theta * theta)
+    series = np.polynomial.polynomial.polyval(theta * theta, _INTERIOR_SERIES)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = 2.0 * (1.0 - np.cos(theta)) / (theta * theta)
     return np.where(small, series, direct)
@@ -100,7 +103,7 @@ def _left_factor(theta):
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = _polyval_ascending(_LEFT_SERIES, 1j * theta)
+    series = np.polynomial.polynomial.polyval(1j * theta, _LEFT_SERIES)
     theta_safe = np.where(small, 1.0, theta)
     direct = (1.0 + 1j * theta_safe - np.exp(1j * theta_safe)) / (theta_safe * theta_safe)
     return np.where(small, series, direct)
@@ -112,13 +115,22 @@ def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
     return w
 
 
+def _frequencies(omegas) -> np.ndarray:
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 1:
+        raise ValueError(f"frequencies must be a scalar or 1-d, got shape {omegas.shape}")
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("frequencies must be finite")
+    return omegas
+
+
 def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     """Optimal weights for many frequencies at once.
 
     Returns an array of shape (len(omegas), n+1); row k holds the weights
     for frequency omegas[k] on the given grid.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _frequencies(omegas)
     h = grid.h
     theta = TWO_PI * omegas * h
 
@@ -139,6 +151,145 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     if np.any(zero):
         out[zero, :] = _trapezoid_weights(grid)
     return out
+
+
+def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
+    """``coefficient_matrix(grid, omegas) @ values`` without the matrix.
+
+    ``values`` holds samples on the grid nodes, shape (n+1,) or (n+1, K);
+    the result has shape (M,) or (M, K).  A frequency lattice that is
+    uniform to rounding (at least 2 entries, increasing or decreasing) is
+    summed as one chirp-z transform in O((M+n) log(M+n)); any other
+    lattice builds the dense weights a block of rows at a time.
+    """
+    omegas = _frequencies(omegas)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[0] != grid.n + 1:
+        raise ValueError(
+            f"expected {grid.n + 1} samples per column, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
+    step = _lattice_step(omegas)
+    if step is None:
+        return _apply_dense(grid, omegas, values)
+    return _apply_chirp(grid, omegas, step, values)
+
+
+def _lattice_step(omegas: np.ndarray) -> float | None:
+    """The step of a lattice uniform to rounding, or None."""
+    m = omegas.size
+    if m < 2:
+        return None
+    step = (omegas[-1] - omegas[0]) / (m - 1)
+    line = omegas[m // 2] + (np.arange(m) - m // 2) * step
+    tol = _UNIFORM_ULPS * np.spacing(np.abs(omegas).max())
+    return step if np.abs(omegas - line).max() <= tol else None
+
+
+def _apply_dense(grid: UniformGrid, omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
+    rows = max(1, _DENSE_BLOCK_WEIGHTS // (grid.n + 1))
+    out = np.empty(omegas.shape + values.shape[1:], dtype=complex)
+    for start in range(0, omegas.size, rows):
+        block = slice(start, start + rows)
+        out[block] = coefficient_matrix(grid, omegas[block]) @ values
+    return out
+
+
+def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
+    """The phase rate * x in half-turns, reduced mod 2.
+
+    The product's rounding error is recovered exactly (Dekker's two-product)
+    and added after the reduction, so the phase keeps full precision however
+    large rate * x is; index arguments such as q**2 are exact below 2**53.
+    """
+    prod = rate * x
+    rate_hi, rate_lo = _split(rate)
+    x_hi, x_lo = _split(x)
+    err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
+    return np.fmod(np.fmod(prod, 2.0) + err, 2.0)
+
+
+def _split(a):
+    """Veltkamp split of a into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _apply_chirp(
+    grid: UniformGrid, omegas: np.ndarray, step: float, values: np.ndarray
+) -> np.ndarray:
+    """Chirp-z evaluation of the weights applied to values on a uniform lattice.
+
+    Row k is h*interior_k * sum_j e^{2 pi i omega_k x_j} f_j over the interior
+    nodes plus the two endpoint terms.  Both index ranges are centred
+    (p = k - M//2, q = j - n//2, x_c = x_{n//2}) so the chirp phases stay
+    small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns the interior sum into a
+    convolution:
+
+        e^{2 pi i omega_k x_j} = e^{2 pi i omega_k x_c} e^{2 pi i omega_c h q}
+                                 e^{i pi b p^2} e^{i pi b q^2} e^{-i pi b (p-q)^2}
+
+    with b = step * h.  The per-row factors use the actual omega_k; the
+    convolution runs on the line omega_c + p * step, which the lattice may
+    miss by _UNIFORM_ULPS ulps, so an interior term's phase can be off by
+    2 pi * 4 ulp(max|omega|) * |x_j - x_c|: the same scale as the rounding
+    of omega * x in coefficient_matrix.
+    """
+    m, n, h = omegas.size, grid.n, grid.h
+    cols = values.reshape(n + 1, -1).T  # one row per column of values
+    nodes = grid.nodes()
+    theta = TWO_PI * omegas * h
+    left = _left_factor(theta)
+
+    first = h * left * np.exp(1j * math.pi * _half_turns(2.0 * nodes[0], omegas))
+    last = h * np.conj(left) * np.exp(1j * math.pi * _half_turns(2.0 * nodes[-1], omegas))
+    out = cols[:, [0, -1]] @ np.stack([first, last])
+
+    if n > 1:
+        rate = step * h
+        jc = n // 2
+        q = np.arange(1, n, dtype=np.int64) - jc
+        p = np.arange(m, dtype=np.int64) - m // 2
+        lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
+        nfft = _fft_length(lags.size)
+
+        pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float))
+        pre += _half_turns(rate, (q * q).astype(float))
+        chirp = np.exp(-1j * math.pi * _half_turns(rate, (lags * lags).astype(float)))
+        buf = np.zeros((cols.shape[0], nfft), dtype=complex)
+        np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
+        np.fft.fft(buf, out=buf)
+        buf *= np.fft.fft(chirp, nfft)
+        np.fft.ifft(buf, out=buf)
+        conv = buf[:, q.size - 1 : q.size - 1 + m]
+
+        post = _half_turns(2.0 * nodes[jc], omegas) + _half_turns(rate, (p * p).astype(float))
+        conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)
+        out += conv
+
+    # Exact omega == 0 keeps the exact trapezoid sum, as coefficient_matrix does.
+    zero = omegas == 0.0
+    if np.any(zero):
+        out[:, zero] = (cols @ _trapezoid_weights(grid))[:, None]
+    return out.T.reshape(omegas.shape + values.shape[1:])
 
 
 def optimal_coefficients(grid: UniformGrid, omega: float) -> OptimalCoefficients:
@@ -166,7 +317,7 @@ def error_norm(omega: float, h: float) -> ErrorNormReport:
         return ErrorNormReport(omega, h, h * h / 12.0)
     theta = TWO_PI * omega * h
     if abs(theta) < SMALL_THETA:
-        norm_sq = h * h * float(_polyval_ascending(_NORM_SERIES, np.float64(theta * theta)))
+        norm_sq = h * h * float(np.polynomial.polynomial.polyval(theta * theta, _NORM_SERIES))
     else:
         norm_sq = (1.0 - float(_interior_factor(theta))) / (TWO_PI * omega) ** 2
     return ErrorNormReport(omega, h, norm_sq)

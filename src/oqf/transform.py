@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SampledFunction, UniformGrid
-from .quadrature import coefficient_matrix, monomial_fourier_integral
+from .quadrature import apply_weights, monomial_fourier_integral
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def forward_transform(samples: SampledFunction, omegas) -> SpectrumSamples:
     The function is taken to vanish outside the sample interval.
     """
     omegas = np.asarray(omegas, dtype=float)
-    weights = coefficient_matrix(samples.grid, -omegas)
-    return SpectrumSamples(omegas, weights @ samples.values)
+    return SpectrumSamples(omegas, apply_weights(samples.grid, -omegas, samples.values))
 
 
 def inverse_transform(spectrum: SampledFunction, xs) -> np.ndarray:
@@ -69,9 +68,7 @@ def inverse_transform(spectrum: SampledFunction, xs) -> np.ndarray:
     The spectrum lives on a uniform frequency grid; the integral is truncated
     to that grid's interval.  Returns the reconstruction at each x.
     """
-    xs = np.asarray(xs, dtype=float)
-    weights = coefficient_matrix(spectrum.grid, xs)
-    return weights @ spectrum.values
+    return apply_weights(spectrum.grid, xs, spectrum.values)
 
 
 def truncated_monomial_samples(alpha: int, grid: UniformGrid) -> np.ndarray:
@@ -97,8 +94,7 @@ def quadrature_error_monomial(
         raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
     grid = UniformGrid(a, b, n)
     exact = monomial_fourier_integral(alpha, omega, -1.0, 1.0).value
-    weights = coefficient_matrix(grid, [float(omega)])[0]
-    approx = np.dot(weights, truncated_monomial_samples(alpha, grid))
+    approx = apply_weights(grid, [float(omega)], truncated_monomial_samples(alpha, grid))[0]
     return QuadratureErrorRecord(alpha, float(omega), a, b, grid.h, complex(exact - approx))
 
 
@@ -118,9 +114,7 @@ def error_sweep(
         raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
     grid = UniformGrid(a, b, n)
     omegas = np.linspace(omega_min, omega_max, omega_count)
-    samples = truncated_monomial_samples(alpha, grid)
-    weights = coefficient_matrix(grid, omegas)
-    approx = weights @ samples
+    approx = apply_weights(grid, omegas, truncated_monomial_samples(alpha, grid))
     exact = np.array(
         [monomial_fourier_integral(alpha, om, -1.0, 1.0).value for om in omegas]
     )

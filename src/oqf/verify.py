@@ -80,6 +80,27 @@ def check_discrete_operator() -> list[CheckResult]:
     ]
 
 
+def check_transform_fast_vs_dense() -> list[CheckResult]:
+    """The chirp-z path of apply_weights against the dense weight matrix.
+
+    Uniform lattices both sides of SMALL_THETA, increasing and decreasing
+    (the latter ending on omega = 0 exactly), on grids from n = 1 up; the
+    deviation is relative to the largest dense value.
+    """
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for n in (1, 2, 7, 64, 729):
+        grid = UniformGrid(-0.7, 1.9, n)
+        for theta_max in (0.2, 3.0):
+            top = theta_max / (2.0 * math.pi * grid.h)
+            for omegas in (np.linspace(-top, top, 201), np.linspace(top, 0.0, 97)):
+                values = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
+                dense = quadrature.coefficient_matrix(grid, omegas) @ values
+                fast = quadrature.apply_weights(grid, omegas, values)
+                worst = max(worst, float(np.abs(fast - dense).max() / np.abs(dense).max()))
+    return [CheckResult("transform_fast_vs_dense", worst, 1e-12)]
+
+
 def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
@@ -87,4 +108,6 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     results = check_coefficient_agreement(ns, OMEGAS)
     results += check_norm_agreement()
     results += check_discrete_operator()
+    if level == "full":
+        results += check_transform_fast_vs_dense()
     return results

@@ -157,6 +157,37 @@ def test_filter_matches_per_angle_transform_route():
         np.testing.assert_allclose(out.data[k], q.real, atol=1e-12)
 
 
+# PSNR of the acceptance 08/09 runs as the dense weight matrices gave them.
+DENSE_PSNR_128 = {
+    45: 20.839990502866932,
+    90: 23.87135898086659,
+    180: 24.271398912375837,
+    360: 24.29504397897475,
+}
+DENSE_PSNR_512 = {"whole": 28.361494487764936, "inner": 41.424607417137516}
+
+
+def test_fbp_psnr_pinned_to_dense_route_desk_scale():
+    ph, ref = shepp_logan_phantom(), shepp_logan(128)
+    for num_angles, psnr in DENSE_PSNR_128.items():
+        recon = fbp_reconstruct(ph, FbpConfig(size=128, dtheta_deg=180.0 / num_angles))
+        assert abs(image_metrics(recon, ref).psnr - psnr) <= 1e-6
+
+
+def test_fbp_psnr_pinned_to_dense_route_full_scale():
+    cfg = FbpConfig(size=512, dtheta_deg=0.5).resolved()
+    sino = radon_analytic(
+        shepp_logan_phantom(), num_angles=cfg.num_angles, dtheta_deg=cfg.dtheta_deg,
+        num_bins=cfg.num_bins, t_range=cfg.t_range,
+    )
+    filtered = filter_projections(sino, cfg.omega_band, cfg.num_omega)
+    assert filtered.max_imag <= 1e-10
+    recon = backproject(filtered, cfg.size)
+    ref = shepp_logan(512)
+    for region, psnr in DENSE_PSNR_512.items():
+        assert abs(image_metrics(recon, ref, region).psnr - psnr) <= 1e-6
+
+
 def test_filter_validation():
     sino = Sinogram(2, 17, 0.0, 0.5, -1.0, 0.125, np.zeros((2, 17)))
     with pytest.raises(ValueError):

@@ -45,6 +45,15 @@ def test_complex_csv_rejects_single_row(tmp_path):
         oqfio.read_complex_csv(path)
 
 
+def test_complex_csv_rejects_non_finite(tmp_path):
+    path = tmp_path / "bad.csv"
+    for rows, bad_row in (("0.0,1.0,0.0\nnan,1.0,0.0\n1.0,1.0,0.0\n", 3),
+                          ("0.0,1.0,0.0\n0.5,1.0,0.0\n1.0,1.0,inf\n", 4)):
+        path.write_text("x,re,im\n" + rows)
+        with pytest.raises(oqfio.FormatError, match=f"row {bad_row}: non-finite"):
+            oqfio.read_complex_csv(path)
+
+
 def test_sinogram_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     sino = Sinogram(5, 9, 0.1, 0.2, -1.0, 0.25, rng.normal(size=(5, 9)))
@@ -244,3 +253,17 @@ def test_cli_verify_fast(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_ft_non_finite_input_is_validation_error(tmp_path, capsys):
+    src = tmp_path / "nan.csv"
+    src.write_text("x,re,im\n0.0,1.0,0.0\n0.5,nan,0.0\n1.0,1.0,0.0\n")
+    assert main(["ft", "--input", str(src), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_verify_full_includes_fast_vs_dense(capsys):
+    assert main(["verify", "--level", "full"]) == 0
+    assert "PASS transform_fast_vs_dense" in capsys.readouterr().out

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqf import quadrature
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.quadrature import (
+    SMALL_THETA,
     apply_quadrature,
+    apply_weights,
     coefficient_matrix,
     cosine_coefficients,
     error_norm,
@@ -250,3 +253,134 @@ def test_coefficient_matrix_rows_match_single_calls():
     mat = coefficient_matrix(g, omegas)
     for row, om in zip(mat, omegas):
         np.testing.assert_array_equal(row, optimal_coefficients(g, om).values)
+
+
+def test_grid_rejects_non_finite_ends():
+    for a, b, n in [(0.0, math.inf, 4), (math.nan, 1.0, 4), (-1e308, 1e308, 1)]:
+        with pytest.raises(ValueError):
+            UniformGrid(a, b, n)
+
+
+def test_coefficient_matrix_rejects_non_finite_frequency():
+    g = UniformGrid(0.0, 1.0, 4)
+    for omegas in ([math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            coefficient_matrix(g, omegas)
+        with pytest.raises(ValueError, match="finite"):
+            apply_weights(g, omegas, np.ones(5))
+    with pytest.raises(ValueError, match="finite"):
+        apply_weights(g, [0.0, 1.0], np.array([1.0, math.nan, 0.0, 0.0, 0.0]))
+
+
+def _horner_ascending(coeffs, x):
+    # The series evaluation the closed forms used before numpy's polyval.
+    result = np.zeros_like(x) * coeffs[0]
+    for c in coeffs[::-1]:
+        result = result * x + c
+    return result
+
+
+def test_series_branches_equal_reference_horner():
+    thetas = np.linspace(-2.0 * SMALL_THETA, 2.0 * SMALL_THETA, 4001)
+    small = np.abs(thetas) < SMALL_THETA
+    t = thetas[small]
+    np.testing.assert_array_equal(
+        quadrature._interior_factor(thetas)[small],
+        _horner_ascending(quadrature._INTERIOR_SERIES, t * t),
+    )
+    np.testing.assert_array_equal(
+        quadrature._left_factor(thetas)[small],
+        _horner_ascending(quadrature._LEFT_SERIES, 1j * t),
+    )
+    h = 0.01
+    for theta in t[::50]:
+        expected = h * h * float(
+            _horner_ascending(quadrature._NORM_SERIES, np.float64(theta * theta))
+        )
+        assert error_norm(theta / (TWO_PI * h), h).norm_sq == expected
+
+
+def _dense_apply(grid, omegas, values, rows=256):
+    # The reference route, a few rows of coefficient_matrix at a time.
+    return np.concatenate(
+        [coefficient_matrix(grid, omegas[i : i + rows]) @ values
+         for i in range(0, len(omegas), rows)]
+    )
+
+
+def _lattices(grid, count):
+    """Uniform lattices with max |theta| = 2 pi |omega| h on both sides of
+    SMALL_THETA: symmetric increasing, decreasing, and starting at 0 exactly."""
+    for theta_max in (0.4 * SMALL_THETA, 3.0 * SMALL_THETA):
+        top = theta_max / (TWO_PI * grid.h)
+        yield np.linspace(-top, top, count)
+        yield np.linspace(top, -0.3 * top, count)
+        yield np.linspace(0.0, top, count)
+
+
+@pytest.mark.parametrize("m", [2, 3, 201, 2917])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 729, 4096])
+def test_apply_weights_matches_dense(n, m):
+    rng = np.random.default_rng(n * 10007 + m)
+    grid = UniformGrid(-0.7, 1.9, n)
+    for omegas in _lattices(grid, m):
+        values = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        dense = _dense_apply(grid, omegas, values)
+        scale = np.abs(dense).max()
+        assert np.abs(apply_weights(grid, omegas, values) - dense).max() <= 1e-12 * scale
+        single = apply_weights(grid, omegas, values[:, 0])
+        assert single.shape == (m,)
+        assert np.abs(single - dense[:, 0]).max() <= 1e-12 * np.abs(dense[:, 0]).max()
+        if omegas[0] == 0.0:
+            # the zero row is the exact trapezoid sum, as in coefficient_matrix
+            assert single[0] == pytest.approx(dense[0, 0], rel=1e-15)
+
+
+def test_apply_weights_phase_precision_limit():
+    # A lattice counts as uniform when it is within 4 ulps of max|omega| of
+    # a straight line; the chirp sum runs on that line, so each interior
+    # term's phase may be off by up to 2 pi * 4 ulp * |x - x_c|.  At
+    # |omega| (b - a) ~ 2.6e4 cycles that exceeds 1e-12 and the deviation
+    # from dense is bounded by the lattice tolerance instead.
+    rng = np.random.default_rng(17)
+    grid = UniformGrid(-0.7, 1.9, 4096)
+    top = 40.0 / (TWO_PI * grid.h)
+    omegas = np.linspace(-top, top, 201)
+    values = rng.normal(size=grid.n + 1) + 1j * rng.normal(size=grid.n + 1)
+    dense = coefficient_matrix(grid, omegas) @ values
+    bound = TWO_PI * 4 * np.spacing(top) * (grid.b - grid.a) / 2
+    dev = np.abs(apply_weights(grid, omegas, values) - dense).max() / np.abs(dense).max()
+    assert dev <= bound
+
+
+def test_apply_weights_non_uniform_lattice_is_dense_bit_for_bit():
+    rng = np.random.default_rng(4)
+    grid = UniformGrid(-1.0, 2.0, 37)
+    values = rng.normal(size=(38, 2)) + 1j * rng.normal(size=(38, 2))
+    for omegas in (np.array([-3.3, 0.0, 0.2, 7.7]), np.array([2.5]),
+                   np.linspace(-4.0, 4.0, 33) ** 3):
+        dense = coefficient_matrix(grid, omegas) @ values
+        np.testing.assert_array_equal(apply_weights(grid, omegas, values), dense)
+        np.testing.assert_array_equal(
+            apply_weights(grid, omegas, values[:, 1]),
+            coefficient_matrix(grid, omegas) @ values[:, 1],
+        )
+
+
+def test_apply_weights_dense_blocks_equal_whole_matrix(monkeypatch):
+    rng = np.random.default_rng(8)
+    grid = UniformGrid(0.0, 3.0, 50)
+    omegas = np.sort(rng.uniform(-20.0, 20.0, 100))
+    values = rng.normal(size=(51, 4)) + 1j * rng.normal(size=(51, 4))
+    whole = apply_weights(grid, omegas, values)
+    monkeypatch.setattr(quadrature, "_DENSE_BLOCK_WEIGHTS", 7 * 51)
+    blocked = apply_weights(grid, omegas, values)
+    np.testing.assert_array_equal(blocked, whole)
+    np.testing.assert_array_equal(blocked, coefficient_matrix(grid, omegas) @ values)
+
+
+def test_apply_weights_shape_validation():
+    g = UniformGrid(0.0, 1.0, 4)
+    for bad in (np.ones(4), np.ones((6, 2)), np.ones((5, 2, 2))):
+        with pytest.raises(ValueError):
+            apply_weights(g, [0.0, 1.0], bad)

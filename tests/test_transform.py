@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oqf.grid import SampledFunction, UniformGrid
-from oqf.quadrature import error_norm, monomial_fourier_integral
+from oqf.quadrature import coefficient_matrix, error_norm, monomial_fourier_integral
 from oqf.transform import (
     SpectrumSamples,
     error_sweep,
@@ -144,3 +144,33 @@ def test_error_sweep_decay_with_frequency():
 def test_spectrum_requires_increasing_frequencies():
     with pytest.raises(ValueError):
         SpectrumSamples(np.array([0.0, 0.0, 1.0]), np.zeros(3, dtype=complex))
+
+
+def test_transforms_match_dense_weight_route():
+    rng = np.random.default_rng(12)
+    g = UniformGrid(-3.0, 3.0, 600)
+    f = SampledFunction(g, rng.normal(size=601) + 1j * rng.normal(size=601))
+    omegas = np.linspace(-20.0, 20.0, 2401)
+    spectrum = forward_transform(f, omegas).values
+    dense = coefficient_matrix(g, -omegas) @ f.values
+    assert np.abs(spectrum - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    og = UniformGrid(-20.0, 20.0, 2400)
+    xs = np.linspace(3.0, -3.0, 301)
+    recon = inverse_transform(SampledFunction(og, spectrum), xs)
+    dense = coefficient_matrix(og, xs) @ spectrum
+    assert np.abs(recon - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_error_sweep_wide_table_matches_dense_and_stays_machine_zero():
+    # the widest table of the paper: [-100, 100] at h = 0.01, 201 frequencies
+    records = error_sweep(1, (-100.0, 100.0), 20000, -100.0, 100.0, 201)
+    assert max(r.abs_real_error for r in records) < 1e-11
+    g = UniformGrid(-100.0, 100.0, 20000)
+    xs = g.nodes()
+    samples = np.where(np.abs(xs) <= 1.0, xs, 0.0)
+    omegas = np.array([r.omega for r in records])
+    exact = np.array([monomial_fourier_integral(1, om, -1.0, 1.0).value for om in omegas])
+    dense = exact - coefficient_matrix(g, omegas) @ samples
+    errors = np.array([r.error for r in records])
+    assert np.abs(errors - dense).max() <= 1e-12 * np.abs(exact).max()
