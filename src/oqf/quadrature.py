@@ -23,15 +23,18 @@ TWO_PI = 2.0 * math.pi
 # degrees are chosen so truncation stays below 1e-17 at the threshold.
 SMALL_THETA = 0.5
 
+# The series coefficients are stored highest degree first, for np.polyval.
 # (e^z - 1 - z)/z^2 = sum_k z^k/(k+2)!          (z = i theta)
-_LEFT_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(17)], dtype=complex)
+_LEFT_SERIES = np.array(
+    [1.0 / math.factorial(k + 2) for k in reversed(range(17))], dtype=complex
+)
 # 2(1 - cos t)/t^2 = sum_m 2(-1)^m t^{2m}/(2m+2)!
 _INTERIOR_SERIES = np.array(
-    [2.0 * (-1.0) ** m / math.factorial(2 * m + 2) for m in range(10)]
+    [2.0 * (-1.0) ** m / math.factorial(2 * m + 2) for m in reversed(range(10))]
 )
 # (1 - 2(1 - cos t)/t^2)/t^2 = sum_m 2(-1)^m t^{2m}/(2m+4)!
 _NORM_SERIES = np.array(
-    [2.0 * (-1.0) ** m / math.factorial(2 * m + 4) for m in range(10)]
+    [2.0 * (-1.0) ** m / math.factorial(2 * m + 4) for m in reversed(range(10))]
 )
 
 
@@ -90,7 +93,7 @@ def _interior_factor(theta):
     """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = np.polynomial.polynomial.polyval(theta * theta, _INTERIOR_SERIES)
+    series = np.polyval(_INTERIOR_SERIES, theta * theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = 2.0 * (1.0 - np.cos(theta)) / (theta * theta)
     return np.where(small, series, direct)
@@ -103,7 +106,7 @@ def _left_factor(theta):
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = np.polynomial.polynomial.polyval(1j * theta, _LEFT_SERIES)
+    series = np.polyval(_LEFT_SERIES, 1j * theta)
     theta_safe = np.where(small, 1.0, theta)
     direct = (1.0 + 1j * theta_safe - np.exp(1j * theta_safe)) / (theta_safe * theta_safe)
     return np.where(small, series, direct)
@@ -119,7 +122,7 @@ def _frequencies(omegas) -> np.ndarray:
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omegas.ndim != 1:
         raise ValueError(f"frequencies must be a scalar or 1-d, got shape {omegas.shape}")
-    if not np.all(np.isfinite(omegas)):
+    if not np.isfinite(omegas).all():
         raise ValueError("frequencies must be finite")
     return omegas
 
@@ -168,7 +171,7 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
         raise ValueError(
             f"expected {grid.n + 1} samples per column, got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("samples must be finite")
     step = _lattice_step(omegas)
     if step is None:
@@ -276,10 +279,9 @@ def _apply_chirp(
         chirp = np.exp(-1j * math.pi * _half_turns(rate, (lags * lags).astype(float)))
         buf = np.zeros((cols.shape[0], nfft), dtype=complex)
         np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
-        np.fft.fft(buf, out=buf)
+        buf = np.fft.fft(buf)
         buf *= np.fft.fft(chirp, nfft)
-        np.fft.ifft(buf, out=buf)
-        conv = buf[:, q.size - 1 : q.size - 1 + m]
+        conv = np.fft.ifft(buf)[:, q.size - 1 : q.size - 1 + m]
 
         post = _half_turns(2.0 * nodes[jc], omegas) + _half_turns(rate, (p * p).astype(float))
         conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)
@@ -317,7 +319,7 @@ def error_norm(omega: float, h: float) -> ErrorNormReport:
         return ErrorNormReport(omega, h, h * h / 12.0)
     theta = TWO_PI * omega * h
     if abs(theta) < SMALL_THETA:
-        norm_sq = h * h * float(np.polynomial.polynomial.polyval(theta * theta, _NORM_SERIES))
+        norm_sq = h * h * float(np.polyval(_NORM_SERIES, theta * theta))
     else:
         norm_sq = (1.0 - float(_interior_factor(theta))) / (TWO_PI * omega) ** 2
     return ErrorNormReport(omega, h, norm_sq)

@@ -272,32 +272,27 @@ def test_coefficient_matrix_rejects_non_finite_frequency():
         apply_weights(g, [0.0, 1.0], np.array([1.0, math.nan, 0.0, 0.0, 0.0]))
 
 
-def _horner_ascending(coeffs, x):
-    # The series evaluation the closed forms used before numpy's polyval.
-    result = np.zeros_like(x) * coeffs[0]
-    for c in coeffs[::-1]:
-        result = result * x + c
-    return result
+def test_series_branches_equal_numpy_polynomial_polyval():
+    # np.polyval on the descending coefficients performs the same Horner
+    # steps as numpy.polynomial's polyval on the ascending ones.
+    from numpy.polynomial.polynomial import polyval
 
-
-def test_series_branches_equal_reference_horner():
     thetas = np.linspace(-2.0 * SMALL_THETA, 2.0 * SMALL_THETA, 4001)
     small = np.abs(thetas) < SMALL_THETA
     t = thetas[small]
     np.testing.assert_array_equal(
         quadrature._interior_factor(thetas)[small],
-        _horner_ascending(quadrature._INTERIOR_SERIES, t * t),
+        polyval(t * t, quadrature._INTERIOR_SERIES[::-1]),
     )
     np.testing.assert_array_equal(
         quadrature._left_factor(thetas)[small],
-        _horner_ascending(quadrature._LEFT_SERIES, 1j * t),
+        polyval(1j * t, quadrature._LEFT_SERIES[::-1]),
     )
     h = 0.01
-    for theta in t[::50]:
-        expected = h * h * float(
-            _horner_ascending(quadrature._NORM_SERIES, np.float64(theta * theta))
-        )
-        assert error_norm(theta / (TWO_PI * h), h).norm_sq == expected
+    for omega in t / (TWO_PI * h):
+        theta = TWO_PI * omega * h
+        expected = h * h * float(polyval(theta * theta, quadrature._NORM_SERIES[::-1]))
+        assert error_norm(omega, h).norm_sq == expected
 
 
 def _dense_apply(grid, omegas, values, rows=256):
