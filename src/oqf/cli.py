@@ -19,6 +19,7 @@ from . import io as oqfio
 from . import transform, verify
 from .ct import (
     FbpConfig,
+    default_num_bins,
     fbp_reconstruct,
     filter_projections,
     image_metrics,
@@ -170,16 +171,16 @@ def cmd_phantom(args) -> int:
 def cmd_radon(args) -> int:
     params = _resolve(
         args,
-        {"variant": "modified", "angles_step_deg": 0.5, "num_bins": 729, "out": None},
+        {"variant": "modified", "angles_step_deg": 0.5,
+         "num_bins": default_num_bins(FbpConfig().size), "out": None},
     )
     _maybe_dump(args, params)
     if params["out"] is None:
         raise ValidationError("radon requires --out")
     step = float(params["angles_step_deg"])
-    num_angles = int(round(180.0 / step))
     sino = radon_analytic(
         shepp_logan_phantom(params["variant"]),
-        num_angles=num_angles,
+        num_angles=FbpConfig(dtheta_deg=step).num_angles,
         dtheta_deg=step,
         num_bins=int(params["num_bins"]),
     )

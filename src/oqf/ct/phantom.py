@@ -101,14 +101,18 @@ class ImageGrid:
             )
         object.__setattr__(self, "pixels", pix)
 
-    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical (x, y) coordinates of all pixel centers, as 2-d arrays."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel-center x per column and y per row (y falls with the row index)."""
         min_x, min_y, max_x, max_y = self.extent
         dx = (max_x - min_x) / self.cols
         dy = (max_y - min_y) / self.rows
         xs = min_x + dx * (np.arange(self.cols) + 0.5)
         ys = max_y - dy * (np.arange(self.rows) + 0.5)
-        return np.meshgrid(xs, ys)
+        return xs, ys
+
+    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Physical (x, y) coordinates of all pixel centers, as 2-d arrays."""
+        return np.meshgrid(*self.axes())
 
 
 def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
@@ -141,6 +145,33 @@ def shepp_logan(size: int, variant: str = "modified") -> ImageGrid:
     return rasterize(shepp_logan_phantom(variant), size)
 
 
+class GeometryError(ValueError):
+    """A projection lattice that cannot describe a scan; ``field`` names the culprit."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
+def check_geometry(num_angles, num_bins, theta0, dtheta, t0, dt) -> None:
+    """Reject an (angle x detector-bin) lattice that cannot mean anything.
+
+    Raises GeometryError for the first offending field: a non-finite start,
+    a step that is not finite and positive, fewer than two detector bins or
+    no angle at all.
+    """
+    for name, value in (("theta0", theta0), ("t0", t0)):
+        if not math.isfinite(value):
+            raise GeometryError(name, f"must be finite, got {value!r}")
+    for name, value in (("dtheta", dtheta), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise GeometryError(name, f"must be finite and positive, got {value!r}")
+    if num_bins < 2:
+        raise GeometryError("num_bins", f"must be at least 2, got {num_bins}")
+    if num_angles < 1:
+        raise GeometryError("num_angles", f"must be at least 1, got {num_angles}")
+
+
 @dataclass(frozen=True)
 class Sinogram:
     """Projection data on an (angle x detector-bin) lattice, angle-major."""
@@ -154,6 +185,9 @@ class Sinogram:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_geometry(
+            self.num_angles, self.num_bins, self.theta0, self.dtheta, self.t0, self.dt
+        )
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.num_angles, self.num_bins):
             raise ValueError(

@@ -23,9 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ct.phantom import ImageGrid, Sinogram
+from .ct.phantom import GeometryError, ImageGrid, Sinogram, check_geometry
 
 SINO_MAGIC = b"OQFSINO1"
+# Byte offset of each sinogram header field, after the 8-byte magic.
+_SINO_HEADER_OFFSETS = {
+    "num_angles": 8, "num_bins": 12, "theta0": 16, "dtheta": 24, "t0": 32, "dt": 40,
+}
 IMG_MAGIC = b"OQFIMG1\0"
 
 
@@ -129,6 +133,11 @@ def read_sinogram(path: str | Path) -> Sinogram:
     num_angles, num_bins, theta0, dtheta, t0, dt = struct.unpack(
         "<IIdddd", raw[8:header_size]
     )
+    try:
+        check_geometry(num_angles, num_bins, theta0, dtheta, t0, dt)
+    except GeometryError as exc:
+        offset = _SINO_HEADER_OFFSETS[exc.field]
+        raise FormatError(f"{path}: header at offset {offset}: {exc}") from None
     expected = header_size + 8 * num_angles * num_bins
     if len(raw) != expected:
         raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")

@@ -60,7 +60,7 @@ def _constant_moment(omega: float) -> complex:
     return complex((np.exp(z) - 1.0) / z)
 
 
-def _linear_moment(omega: float) -> complex:
+def linear_moment(omega: float) -> complex:
     """int_0^1 e^{2 pi i omega x} x dx."""
     if omega == 0.0:
         return 0.5 + 0.0j
@@ -100,7 +100,7 @@ def solve_coefficient_system(n: int, omega: float) -> CoefficientSystemSolution:
 
     coefficients = solution[: n + 1]
     moment_residual = float(
-        abs(np.dot(coefficients, nodes) - _linear_moment(omega))
+        abs(np.dot(coefficients, nodes) - linear_moment(omega))
     )
     return CoefficientSystemSolution(
         coefficients=coefficients,

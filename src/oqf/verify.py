@@ -44,7 +44,7 @@ def check_coefficient_agreement(ns, omegas) -> list[CheckResult]:
                 worst_coeff, float(np.abs(sol.coefficients - closed.values).max())
             )
             worst_p0 = max(worst_p0, abs(sol.p0))
-            moment_scale = max(abs(oracle._linear_moment(om)), 1.0)
+            moment_scale = max(abs(oracle.linear_moment(om)), 1.0)
             worst_moment = max(worst_moment, sol.moment_residual / moment_scale)
     return [
         CheckResult("coefficients_closed_vs_dense", worst_coeff, 1e-9),

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oqf.ct import (
     shepp_logan,
     shepp_logan_phantom,
 )
+from oqf.ct.fbp import FilteredSinogram, _square_orbits
 from oqf.ct.phantom import ellipse_projection, ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.transform import forward_transform, inverse_transform
@@ -206,6 +208,99 @@ def test_backproject_constant_gives_pi():
     q = FilteredSinogram(na, 41, 0.0, dtheta, -1.5, 3.0 / 40, np.ones((na, 41)))
     img = backproject(q, 16)
     np.testing.assert_allclose(img.pixels, math.pi, rtol=1e-12)
+
+
+def filtered_phantom(num_angles, dtheta_deg, num_bins, t_range=(-1.0, 1.0), theta0_deg=0.0):
+    """Ramp-filtered exact sinogram of the head phantom, band at detector Nyquist."""
+    sino = radon_analytic(
+        shepp_logan_phantom(), num_angles=num_angles, dtheta_deg=dtheta_deg,
+        num_bins=num_bins, t_range=t_range, theta0_deg=theta0_deg,
+    )
+    return filter_projections(sino, 1.0 / (2.0 * sino.dt), 4 * num_bins + 1)
+
+
+def backproject_interp(q, size):
+    """Reference back-projection: one binary-search ``np.interp`` per angle."""
+    image = ImageGrid(size, size, np.zeros((size, size)))
+    gx, gy = image.pixel_centers()
+    bins = q.bins()
+    accum = np.zeros((size, size))
+    for k, theta in enumerate(q.angles()):
+        t = gx * math.cos(theta) + gy * math.sin(theta)
+        accum += np.interp(t, bins, q.data[k], left=0.0, right=0.0)
+    accum *= q.dtheta
+    return accum
+
+
+def assert_backproject_parity(q, size):
+    ref = backproject_interp(q, size)
+    got = backproject(q, size).pixels
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def orbit_sizes(q):
+    return Counter(len(orbit) for orbit in _square_orbits(q.theta0, q.dtheta, q.num_angles))
+
+
+# (size, num_angles, dtheta_deg, num_bins, t_range, theta0_deg) -> orbit sizes
+PARITY_CASES = {
+    "512_360": ((512, 360, 0.5, 729, (-1.0, 1.0), 0.0), {4: 89, 2: 2}),
+    "45_angles": ((128, 45, 4.0, 183, (-1.0, 1.0), 0.0), {2: 22, 1: 1}),
+    "theta0_0.3_rad": ((64, 67, 180.0 / 67, 93, (-1.0, 1.0), math.degrees(0.3)), {1: 67}),
+    "theta0_0.3_deg": ((64, 120, 1.5, 93, (-1.0, 1.0), 0.3), {2: 60}),
+    "narrow_detector": ((128, 90, 2.0, 101, (-0.6, 0.6), 0.0), {4: 22, 2: 1}),
+    "odd_raster": ((17, 90, 2.0, 25, (-1.0, 1.0), 0.0), {4: 22, 2: 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_backproject_matches_interp_loop(case):
+    (size, *geometry), sizes = PARITY_CASES[case]
+    q = filtered_phantom(*geometry)
+    assert orbit_sizes(q) == sizes
+    assert_backproject_parity(q, size)
+
+
+def test_backproject_parity_two_bins_one_angle():
+    q = FilteredSinogram(1, 2, 0.4, 0.1, -0.5, 1.0, np.array([[0.7, -0.3]]))
+    assert_backproject_parity(q, 16)
+
+
+def test_backproject_exact_detector_endpoints():
+    # bins on the centres of columns 0..12 of a 16-pixel raster (binary-exact
+    # t0 and dt): column 0 sits exactly on the first bin and column 12 on the
+    # last, column 13 is half a bin past the end and must read zero
+    rng = np.random.default_rng(5)
+    q = FilteredSinogram(1, 7, 0.0, 0.25, -0.9375, 0.25, rng.normal(size=(1, 7)))
+    pixels = backproject(q, 16).pixels
+    np.testing.assert_allclose(pixels[:, 0], q.data[0, 0] * q.dtheta, rtol=1e-15)
+    np.testing.assert_allclose(pixels[:, 12], q.data[0, 6] * q.dtheta, rtol=1e-15)
+    assert np.all(pixels[:, 13:] == 0.0)
+    assert_backproject_parity(q, 16)
+
+
+GEOMETRY_CASES = {
+    "nan_dt": dict(dt=math.nan),
+    "zero_dt": dict(dt=0.0),
+    "negative_dt": dict(dt=-0.1),
+    "negative_dtheta": dict(dtheta=-0.1),
+    "zero_dtheta": dict(dtheta=0.0),
+    "inf_dtheta": dict(dtheta=math.inf),
+    "nan_theta0": dict(theta0=math.nan),
+    "inf_t0": dict(t0=-math.inf),
+    "one_bin": dict(num_bins=1),
+    "no_angle": dict(num_angles=0),
+}
+
+
+@pytest.mark.parametrize("cls", [Sinogram, FilteredSinogram])
+@pytest.mark.parametrize("case", sorted(GEOMETRY_CASES))
+def test_geometry_rejects_meaningless_lattice(cls, case):
+    fields = dict(num_angles=3, num_bins=5, theta0=0.0, dtheta=0.1, t0=-1.0, dt=0.5)
+    fields.update(GEOMETRY_CASES[case])
+    data = np.zeros((fields["num_angles"], fields["num_bins"]))
+    with pytest.raises(ValueError):
+        cls(data=data, **fields)
 
 
 def test_fbp_small_scale_recovers_disk():

@@ -1,12 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from oqf import io as oqfio
 from oqf.cli import main
-from oqf.ct import shepp_logan
+from oqf.ct import FbpConfig, default_num_bins, shepp_logan
 from oqf.ct.phantom import ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.quadrature import optimal_coefficients
@@ -74,6 +75,22 @@ def test_sinogram_bad_magic_and_truncation(tmp_path):
     oqfio.write_sinogram(path, sino)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(oqfio.FormatError, match="offset"):
+        oqfio.read_sinogram(path)
+
+
+def write_raw_sinogram(path, num_angles=2, num_bins=3, theta0=0.0, dtheta=0.1, t0=-1.0, dt=1.0):
+    header = struct.pack("<IIdddd", num_angles, num_bins, theta0, dtheta, t0, dt)
+    path.write_bytes(oqfio.SINO_MAGIC + header + bytes(8 * num_angles * num_bins))
+
+
+@pytest.mark.parametrize("field,value,offset", [
+    ("num_angles", 0, 8), ("num_bins", 1, 12), ("theta0", math.inf, 16),
+    ("dtheta", -0.1, 24), ("t0", math.nan, 32), ("dt", 0.0, 40),
+])
+def test_sinogram_header_geometry_rejected_with_offset(tmp_path, field, value, offset):
+    path = tmp_path / "s.sino"
+    write_raw_sinogram(path, **{field: value})
+    with pytest.raises(oqfio.FormatError, match=f"offset {offset}: {field}"):
         oqfio.read_sinogram(path)
 
 
@@ -214,6 +231,34 @@ def test_cli_radon_fbp_metrics_pipeline(tmp_path, capsys):
     psnrs = [float(line.split("=")[1]) for line in out.splitlines() if line.startswith("psnr=")]
     assert len(psnrs) == 2
     assert psnrs[0] > 15.0
+
+
+def test_cli_fbp_nan_dt_sinogram_is_validation_error(tmp_path, capsys):
+    sino = tmp_path / "nan.sino"
+    write_raw_sinogram(sino, dt=math.nan)
+    assert main(["fbp", "--sinogram", str(sino), "--size", "32",
+                 "--out", str(tmp_path / "r.img")]) == 3
+    assert "offset 40: dt" in capsys.readouterr().err
+    assert not (tmp_path / "r.img").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fbp", "--num-bins", "1", "--size", "32"],
+    ["fbp", "--size", "1"],
+    ["fbp", "--angles-step-deg", "0", "--size", "32"],
+    ["radon", "--angles-step-deg", "0"],
+    ["radon", "--angles-step-deg", "-3"],
+])
+def test_cli_degenerate_scan_is_validation_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_radon_default_bins_follow_fbp_default(tmp_path, capsys):
+    assert main(["radon", "--out", str(tmp_path / "s.sino"), "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["num_bins"] == default_num_bins(FbpConfig().size) == 729
+    assert oqfio.read_sinogram(tmp_path / "s.sino").num_bins == 729
 
 
 def test_cli_metrics_missing_file_is_io_error(tmp_path, capsys):
