@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import struct
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from oqf import io as oqfio
-from oqf.cli import main
+from oqf.cli import build_parser, main
 from oqf.ct import FbpConfig, default_num_bins, shepp_logan
 from oqf.ct.phantom import ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
@@ -312,3 +313,95 @@ def test_cli_ft_non_finite_input_is_validation_error(tmp_path, capsys):
 def test_cli_verify_full_includes_fast_vs_dense(capsys):
     assert main(["verify", "--level", "full"]) == 0
     assert "PASS transform_fast_vs_dense" in capsys.readouterr().out
+
+
+# Every subcommand's resolved defaults (as --dump-config prints them), its
+# flags as (flag, dest, type, choices) beyond --config/--dump-config, and the
+# error it gives when run with no flags at all.
+CLI_SPECS = {
+    "coeffs": (
+        {"a": 0.0, "b": 1.0, "n": 10, "omega": 0.0, "out": None},
+        {("--a", "a", float, None), ("--b", "b", float, None),
+         ("--n", "n", int, None), ("--omega", "omega", float, None),
+         ("--out", "out", None, None)},
+        "coeffs requires --out",
+    ),
+    "ft": (
+        {"input": None, "omega": None, "omega_count": 201, "omega_max": 1.0,
+         "omega_min": -1.0, "out": None},
+        {("--input", "input", None, None), ("--omega", "omega", float, None),
+         ("--omega-count", "omega_count", int, None),
+         ("--omega-max", "omega_max", float, None),
+         ("--omega-min", "omega_min", float, None), ("--out", "out", None, None)},
+        "ft requires --input and --out",
+    ),
+    "ift": (
+        {"input": None, "out": None, "x_count": 201, "x_max": 1.0, "x_min": -1.0},
+        {("--input", "input", None, None), ("--out", "out", None, None),
+         ("--x-count", "x_count", int, None), ("--x-max", "x_max", float, None),
+         ("--x-min", "x_min", float, None)},
+        "ift requires --input and --out",
+    ),
+    "error-sweep": (
+        {"a": -1.0, "alpha": 2, "b": 1.0, "n": 20, "omega_count": 201,
+         "omega_max": 1.0, "omega_min": -1.0, "out": None},
+        {("--a", "a", float, None), ("--alpha", "alpha", int, (0, 1, 2)),
+         ("--b", "b", float, None), ("--n", "n", int, None),
+         ("--omega-count", "omega_count", int, None),
+         ("--omega-max", "omega_max", float, None),
+         ("--omega-min", "omega_min", float, None), ("--out", "out", None, None)},
+        "error-sweep requires --out",
+    ),
+    "phantom": (
+        {"out": None, "pgm": None, "size": 512, "variant": "modified"},
+        {("--out", "out", None, None), ("--pgm", "pgm", None, None),
+         ("--size", "size", int, None),
+         ("--variant", "variant", None, ("modified", "classic"))},
+        "phantom requires --out and/or --pgm",
+    ),
+    "radon": (
+        {"angles_step_deg": 0.5, "num_bins": 729, "out": None, "variant": "modified"},
+        {("--angles-step-deg", "angles_step_deg", float, None),
+         ("--num-bins", "num_bins", int, None), ("--out", "out", None, None),
+         ("--variant", "variant", None, ("modified", "classic"))},
+        "radon requires --out",
+    ),
+    "fbp": (
+        {"angles_step_deg": 0.5, "band": None, "num_bins": None, "num_omega": None,
+         "out": None, "pgm": None, "sinogram": None, "size": 512,
+         "variant": "modified"},
+        {("--angles-step-deg", "angles_step_deg", float, None),
+         ("--band", "band", float, None), ("--num-bins", "num_bins", int, None),
+         ("--num-omega", "num_omega", int, None), ("--out", "out", None, None),
+         ("--pgm", "pgm", None, None), ("--sinogram", "sinogram", None, None),
+         ("--size", "size", int, None),
+         ("--variant", "variant", None, ("modified", "classic"))},
+        "fbp requires --out and/or --pgm",
+    ),
+    "metrics": (
+        {"mask": "whole", "out": None, "ref": None, "test": None},
+        {("--mask", "mask", None, ("whole", "inner", "both")),
+         ("--out", "out", None, None), ("--ref", "ref", None, None),
+         ("--test", "test", None, None)},
+        "metrics requires --test and --ref",
+    ),
+    "verify": ({"level": "fast"}, {("--level", "level", None, ("fast", "full"))}, None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SPECS))
+def test_cli_subcommand_defaults_flags_and_required(command, capsys, monkeypatch):
+    defaults, flags, required_error = CLI_SPECS[command]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions if a.option_strings]
+    assert {(a.option_strings[0], a.dest, a.type, a.choices) for a in actions
+            if a.dest not in ("help", "config", "dump_config")} == flags
+    monkeypatch.setattr("oqf.verify.run_checks", lambda level: [])
+    rc = main([command, "--dump-config"])
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(defaults, indent=2, sort_keys=True) + "\n"
+    if required_error is None:
+        assert rc == 0
+    else:
+        assert rc == 3 and captured.err == f"error: {required_error}\n"
