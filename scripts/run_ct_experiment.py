@@ -22,9 +22,7 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    config = FbpConfig(
-        size=args.size, dtheta_deg=args.angles_step_deg, phantom_variant=args.variant
-    )
+    config = FbpConfig(size=args.size, dtheta_deg=args.angles_step_deg)
     start = time.perf_counter()
     recon = fbp_reconstruct(shepp_logan_phantom(args.variant), config)
     elapsed = time.perf_counter() - start

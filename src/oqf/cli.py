@@ -3,7 +3,9 @@
 Subcommands: coeffs, ft, ift, error-sweep, phantom, radon, fbp, metrics,
 verify.  Exit codes: 0 success, 2 usage, 3 input validation, 4 I/O,
 5 verification failure.  Parameter precedence: flags > config file >
-defaults; --dump-config prints the fully resolved parameters.
+defaults; --dump-config prints the fully resolved parameters.  Every
+subcommand's flags, defaults and required arguments come from the one
+COMMANDS table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +22,12 @@ from .ct import (
     FbpConfig,
     default_num_bins,
     fbp_reconstruct,
-    filter_projections,
     image_metrics,
     radon_analytic,
     shepp_logan,
     shepp_logan_phantom,
 )
+from .ct.phantom import PHANTOM_VARIANTS
 from .grid import SampledFunction, UniformGrid
 from .quadrature import optimal_coefficients
 
@@ -58,86 +59,60 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults."""
-    config = _load_config(getattr(args, "config", None))
+    config = _load_config(args.config)
     resolved = dict(defaults)
     resolved.update({k: v for k, v in config.items() if k in defaults})
     for key in defaults:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
     return resolved
 
 
-def _maybe_dump(args: argparse.Namespace, resolved: dict) -> None:
-    if getattr(args, "dump_config", False):
-        print(json.dumps(resolved, indent=2, sort_keys=True))
-
-
-def _omega_lattice(params: dict) -> np.ndarray:
-    if params.get("omega") is not None:
-        return np.asarray([float(params["omega"])])
-    count = int(params["omega_count"])
+def _lattice(params: dict, name: str) -> np.ndarray:
+    """The lattice that --NAME-min, --NAME-max and --NAME-count describe."""
+    count = int(params[f"{name}_count"])
     if count < 2:
-        raise ValidationError("omega lattice needs at least 2 points")
-    return np.linspace(float(params["omega_min"]), float(params["omega_max"]), count)
+        raise ValidationError(f"{name} lattice needs at least 2 points")
+    return np.linspace(float(params[f"{name}_min"]), float(params[f"{name}_max"]), count)
 
 
-def cmd_coeffs(args) -> int:
-    params = _resolve(args, {"a": 0.0, "b": 1.0, "n": 10, "omega": 0.0, "out": None})
-    _maybe_dump(args, params)
-    if params["out"] is None:
-        raise ValidationError("coeffs requires --out")
+def _read_samples(path: str) -> SampledFunction:
+    """A <abscissa>,re,im CSV as samples on the lattice its rows span."""
+    xs, values = oqfio.read_complex_csv(path)
+    return SampledFunction(UniformGrid(float(xs[0]), float(xs[-1]), len(xs) - 1), values)
+
+
+def _optional(cast, value):
+    return None if value is None else cast(value)
+
+
+def cmd_coeffs(params: dict) -> int:
     grid = UniformGrid(float(params["a"]), float(params["b"]), int(params["n"]))
     coeffs = optimal_coefficients(grid, float(params["omega"]))
     oqfio.write_coefficients_csv(params["out"], coeffs.values)
     return EXIT_OK
 
 
-def cmd_ft(args) -> int:
-    params = _resolve(
-        args,
-        {"input": None, "out": None, "omega": None,
-         "omega_min": -1.0, "omega_max": 1.0, "omega_count": 201},
-    )
-    _maybe_dump(args, params)
-    if params["input"] is None or params["out"] is None:
-        raise ValidationError("ft requires --input and --out")
-    xs, values = oqfio.read_complex_csv(params["input"])
-    grid = UniformGrid(float(xs[0]), float(xs[-1]), len(xs) - 1)
-    omegas = _omega_lattice(params)
-    spectrum = transform.forward_transform(SampledFunction(grid, values), omegas)
+def cmd_ft(params: dict) -> int:
+    samples = _read_samples(params["input"])
+    if params["omega"] is not None:
+        omegas = np.asarray([float(params["omega"])])
+    else:
+        omegas = _lattice(params, "omega")
+    spectrum = transform.forward_transform(samples, omegas)
     oqfio.write_complex_csv(params["out"], "omega", spectrum.omegas, spectrum.values)
     return EXIT_OK
 
 
-def cmd_ift(args) -> int:
-    params = _resolve(
-        args,
-        {"input": None, "out": None, "x_min": -1.0, "x_max": 1.0, "x_count": 201},
-    )
-    _maybe_dump(args, params)
-    if params["input"] is None or params["out"] is None:
-        raise ValidationError("ift requires --input and --out")
-    omegas, values = oqfio.read_complex_csv(params["input"])
-    grid = UniformGrid(float(omegas[0]), float(omegas[-1]), len(omegas) - 1)
-    count = int(params["x_count"])
-    if count < 2:
-        raise ValidationError("x lattice needs at least 2 points")
-    xs = np.linspace(float(params["x_min"]), float(params["x_max"]), count)
-    values_out = transform.inverse_transform(SampledFunction(grid, values), xs)
-    oqfio.write_complex_csv(params["out"], "x", xs, values_out)
+def cmd_ift(params: dict) -> int:
+    samples = _read_samples(params["input"])
+    xs = _lattice(params, "x")
+    oqfio.write_complex_csv(params["out"], "x", xs, transform.inverse_transform(samples, xs))
     return EXIT_OK
 
 
-def cmd_error_sweep(args) -> int:
-    params = _resolve(
-        args,
-        {"alpha": 2, "a": -1.0, "b": 1.0, "n": 20, "out": None,
-         "omega_min": -1.0, "omega_max": 1.0, "omega_count": 201},
-    )
-    _maybe_dump(args, params)
-    if params["out"] is None:
-        raise ValidationError("error-sweep requires --out")
+def cmd_error_sweep(params: dict) -> int:
     records = transform.error_sweep(
         int(params["alpha"]),
         (float(params["a"]), float(params["b"])),
@@ -155,28 +130,19 @@ def cmd_error_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_phantom(args) -> int:
-    params = _resolve(args, {"size": 512, "variant": "modified", "out": None, "pgm": None})
-    _maybe_dump(args, params)
-    if params["out"] is None and params["pgm"] is None:
-        raise ValidationError("phantom requires --out and/or --pgm")
-    image = shepp_logan(int(params["size"]), params["variant"])
+def _write_image_outputs(params: dict, image) -> None:
     if params["out"] is not None:
         oqfio.write_image(params["out"], image)
     if params["pgm"] is not None:
         oqfio.write_pgm16(params["pgm"], image)
+
+
+def cmd_phantom(params: dict) -> int:
+    _write_image_outputs(params, shepp_logan(int(params["size"]), params["variant"]))
     return EXIT_OK
 
 
-def cmd_radon(args) -> int:
-    params = _resolve(
-        args,
-        {"variant": "modified", "angles_step_deg": 0.5,
-         "num_bins": default_num_bins(FbpConfig().size), "out": None},
-    )
-    _maybe_dump(args, params)
-    if params["out"] is None:
-        raise ValidationError("radon requires --out")
+def cmd_radon(params: dict) -> int:
     step = float(params["angles_step_deg"])
     sino = radon_analytic(
         shepp_logan_phantom(params["variant"]),
@@ -188,55 +154,34 @@ def cmd_radon(args) -> int:
     return EXIT_OK
 
 
-def cmd_fbp(args) -> int:
-    params = _resolve(
-        args,
-        {"size": 512, "angles_step_deg": 0.5, "num_bins": None, "band": None,
-         "num_omega": None, "variant": "modified", "sinogram": None,
-         "out": None, "pgm": None},
-    )
-    _maybe_dump(args, params)
-    if params["out"] is None and params["pgm"] is None:
-        raise ValidationError("fbp requires --out and/or --pgm")
+def cmd_fbp(params: dict) -> int:
     config = FbpConfig(
         size=int(params["size"]),
         dtheta_deg=float(params["angles_step_deg"]),
-        num_bins=None if params["num_bins"] is None else int(params["num_bins"]),
-        omega_band=None if params["band"] is None else float(params["band"]),
-        num_omega=None if params["num_omega"] is None else int(params["num_omega"]),
-        phantom_variant=params["variant"],
+        num_bins=_optional(int, params["num_bins"]),
+        omega_band=_optional(float, params["band"]),
+        num_omega=_optional(int, params["num_omega"]),
     )
     if params["sinogram"] is not None:
         source = oqfio.read_sinogram(params["sinogram"])
     else:
         source = shepp_logan_phantom(params["variant"])
-    image = fbp_reconstruct(source, config)
-    if params["out"] is not None:
-        oqfio.write_image(params["out"], image)
-    if params["pgm"] is not None:
-        oqfio.write_pgm16(params["pgm"], image)
+    _write_image_outputs(params, fbp_reconstruct(source, config))
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    params = _resolve(
-        args, {"test": None, "ref": None, "mask": "whole", "out": None}
-    )
-    _maybe_dump(args, params)
-    if params["test"] is None or params["ref"] is None:
-        raise ValidationError("metrics requires --test and --ref")
+def cmd_metrics(params: dict) -> int:
     test = oqfio.read_image(params["test"])
     ref = oqfio.read_image(params["ref"])
     regions = ["whole", "inner"] if params["mask"] == "both" else [params["mask"]]
     lines = []
     for region in regions:
         report = image_metrics(test, ref, region)
-        psnr = "inf" if report.psnr == float("inf") else repr(report.psnr)
         lines += [
             f"region={region}",
             f"e_max={report.e_max!r}",
             f"mse={report.mse!r}",
-            f"psnr={psnr}",
+            f"psnr={report.psnr!r}",
         ]
     text = "\n".join(lines) + "\n"
     if params["out"] is not None:
@@ -246,9 +191,7 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    params = _resolve(args, {"level": "fast"})
-    _maybe_dump(args, params)
+def cmd_verify(params: dict) -> int:
     results = verify.run_checks(params["level"])
     failures = []
     for res in results:
@@ -265,108 +208,105 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# A parameter is (key, type, default, extra add_argument keywords); its flag
+# is --key with dashes for underscores, and type None keeps the string.
+_FBP = FbpConfig()
+_OUT = ("out", None, None, {})
+_IMAGE_OUT = [("out", None, None, {"help": "binary image output"}),
+              ("pgm", None, None, {"help": "16-bit PGM output"})]
+_VARIANT = ("variant", None, "modified", {"choices": tuple(PHANTOM_VARIANTS)})
+_OMEGA_LATTICE = [("omega_min", float, -1.0, {}), ("omega_max", float, 1.0, {}),
+                  ("omega_count", int, 201, {})]
+
+# Subcommand -> (handler, help, required, parameters).  Each required group
+# names keys of which at least one must be set.
+COMMANDS = {
+    "coeffs": (
+        cmd_coeffs, "dump optimal quadrature weights to CSV", [("out",)],
+        [("a", float, 0.0, {}), ("b", float, 1.0, {}), ("n", int, 10, {}),
+         ("omega", float, 0.0, {}), _OUT],
+    ),
+    "ft": (
+        cmd_ft, "forward Fourier transform of sampled data", [("input",), ("out",)],
+        [("input", None, None, {"help": "CSV with header x,re,im on a uniform lattice"}),
+         _OUT, ("omega", float, None, {}), *_OMEGA_LATTICE],
+    ),
+    "ift": (
+        cmd_ift, "inverse Fourier transform of sampled spectrum", [("input",), ("out",)],
+        [("input", None, None, {"help": "CSV with header omega,re,im on a uniform lattice"}),
+         _OUT, ("x_min", float, -1.0, {}), ("x_max", float, 1.0, {}),
+         ("x_count", int, 201, {})],
+    ),
+    "error-sweep": (
+        cmd_error_sweep, "quadrature errors for truncated monomials", [("out",)],
+        [("alpha", int, 2, {"choices": (0, 1, 2)}), ("a", float, -1.0, {}),
+         ("b", float, 1.0, {}), ("n", int, 20, {}), *_OMEGA_LATTICE, _OUT],
+    ),
+    "phantom": (
+        cmd_phantom, "rasterize the head phantom", [("out", "pgm")],
+        [("size", int, _FBP.size, {}), _VARIANT, *_IMAGE_OUT],
+    ),
+    "radon": (
+        cmd_radon, "exact sinogram of the head phantom", [("out",)],
+        [_VARIANT, ("angles_step_deg", float, _FBP.dtheta_deg, {}),
+         ("num_bins", int, default_num_bins(_FBP.size), {}), _OUT],
+    ),
+    "fbp": (
+        cmd_fbp, "filtered back-projection reconstruction", [("out", "pgm")],
+        [("size", int, _FBP.size, {}), ("angles_step_deg", float, _FBP.dtheta_deg, {}),
+         ("num_bins", int, _FBP.num_bins, {}), ("band", float, _FBP.omega_band, {}),
+         ("num_omega", int, _FBP.num_omega, {}), _VARIANT,
+         ("sinogram", None, None, {"help": "reconstruct this sinogram instead of the phantom"}),
+         *_IMAGE_OUT],
+    ),
+    "metrics": (
+        cmd_metrics, "image-quality metrics of test vs reference", [("test",), ("ref",)],
+        [("test", None, None, {}), ("ref", None, None, {}),
+         ("mask", None, "whole", {"choices": ("whole", "inner", "both")}), _OUT],
+    ),
+    "verify": (
+        cmd_verify, "cross-check closed forms against the dense oracle", [],
+        [("level", None, "fast", {"choices": ("fast", "full")})],
+    ),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Resolve the subcommand's parameters, dump them if asked, check, run."""
+    handler, _, required, parameters = COMMANDS[args.command]
+    params = _resolve(args, {key: default for key, _, default, _ in parameters})
+    if args.dump_config:
+        print(json.dumps(params, indent=2, sort_keys=True))
+    if any(all(params[key] is None for key in group) for group in required):
+        needed = " and ".join(" and/or ".join(map(_flag, group)) for group in required)
+        raise ValidationError(f"{args.command} requires {needed}")
+    return handler(params)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqf",
         description="Optimal quadrature for Fourier integrals; CT reconstruction pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text, _, parameters) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved parameters")
-
-    p = sub.add_parser("coeffs", help="dump optimal quadrature weights to CSV")
-    common(p)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("ft", help="forward Fourier transform of sampled data")
-    common(p)
-    p.add_argument("--input", help="CSV with header x,re,im on a uniform lattice")
-    p.add_argument("--out")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--omega-min", type=float, dest="omega_min")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--omega-count", type=int, dest="omega_count")
-    p.set_defaults(func=cmd_ft)
-
-    p = sub.add_parser("ift", help="inverse Fourier transform of sampled spectrum")
-    common(p)
-    p.add_argument("--input", help="CSV with header omega,re,im on a uniform lattice")
-    p.add_argument("--out")
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--x-count", type=int, dest="x_count")
-    p.set_defaults(func=cmd_ift)
-
-    p = sub.add_parser("error-sweep", help="quadrature errors for truncated monomials")
-    common(p)
-    p.add_argument("--alpha", type=int, choices=(0, 1, 2))
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--omega-min", type=float, dest="omega_min")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--omega-count", type=int, dest="omega_count")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_error_sweep)
-
-    p = sub.add_parser("phantom", help="rasterize the head phantom")
-    common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--variant", choices=("modified", "classic"))
-    p.add_argument("--out", help="binary image output")
-    p.add_argument("--pgm", help="16-bit PGM output")
-    p.set_defaults(func=cmd_phantom)
-
-    p = sub.add_parser("radon", help="exact sinogram of the head phantom")
-    common(p)
-    p.add_argument("--variant", choices=("modified", "classic"))
-    p.add_argument("--angles-step-deg", type=float, dest="angles_step_deg")
-    p.add_argument("--num-bins", type=int, dest="num_bins")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_radon)
-
-    p = sub.add_parser("fbp", help="filtered back-projection reconstruction")
-    common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--angles-step-deg", type=float, dest="angles_step_deg")
-    p.add_argument("--num-bins", type=int, dest="num_bins")
-    p.add_argument("--band", type=float)
-    p.add_argument("--num-omega", type=int, dest="num_omega")
-    p.add_argument("--variant", choices=("modified", "classic"))
-    p.add_argument("--sinogram", help="reconstruct this sinogram instead of the phantom")
-    p.add_argument("--out", help="binary image output")
-    p.add_argument("--pgm", help="16-bit PGM output")
-    p.set_defaults(func=cmd_fbp)
-
-    p = sub.add_parser("metrics", help="image-quality metrics of test vs reference")
-    common(p)
-    p.add_argument("--test")
-    p.add_argument("--ref")
-    p.add_argument("--mask", choices=("whole", "inner", "both"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("verify", help="cross-check closed forms against the dense oracle")
-    common(p)
-    p.add_argument("--level", choices=("fast", "full"))
-    p.set_defaults(func=cmd_verify)
-
+        for key, type_, _, extra in parameters:
+            p.add_argument(_flag(key), dest=key, type=type_, **extra)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _dispatch(args)
     except (ValidationError, ValueError, oqfio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

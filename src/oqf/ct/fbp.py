@@ -14,47 +14,23 @@ array between the angles that the square raster's symmetries relate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..grid import UniformGrid
 from ..quadrature import apply_weights
-from .phantom import EllipsePhantom, ImageGrid, Sinogram, check_geometry, radon_analytic
+from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic
 
 # Pixels per back-projection strip: keeps a strip's temporaries in cache.
 _STRIP_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
-class FilteredSinogram:
+class FilteredSinogram(Sinogram):
     """Ramp-filtered projections on the same lattice as their source sinogram."""
 
-    num_angles: int
-    num_bins: int
-    theta0: float
-    dtheta: float
-    t0: float
-    dt: float
-    data: np.ndarray = field(repr=False)
     max_imag: float = 0.0
-
-    def __post_init__(self):
-        check_geometry(
-            self.num_angles, self.num_bins, self.theta0, self.dtheta, self.t0, self.dt
-        )
-        data = np.asarray(self.data, dtype=float)
-        if data.shape != (self.num_angles, self.num_bins):
-            raise ValueError(
-                f"expected {self.num_angles}x{self.num_bins} data, got {data.shape}"
-            )
-        object.__setattr__(self, "data", data)
-
-    def bins(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.num_bins)
-
-    def angles(self) -> np.ndarray:
-        return self.theta0 + self.dtheta * np.arange(self.num_angles)
 
 
 def default_num_bins(size: int) -> int:
@@ -72,7 +48,6 @@ class FbpConfig:
     t_range: tuple[float, float] = (-1.0, 1.0)
     omega_band: float | None = None  # default: detector Nyquist 1/(2 dt)
     num_omega: int | None = None     # default: 4 * num_bins + 1
-    phantom_variant: str = "modified"
 
     def __post_init__(self):
         if not (math.isfinite(self.dtheta_deg) and self.dtheta_deg > 0):
@@ -121,16 +96,7 @@ def filter_projections(
     filtered = apply_weights(omega_grid, det_grid.nodes(), spectra).T  # (num_angles, num_bins)
 
     max_imag = float(np.abs(filtered.imag).max()) if filtered.size else 0.0
-    return FilteredSinogram(
-        num_angles=sino.num_angles,
-        num_bins=sino.num_bins,
-        theta0=sino.theta0,
-        dtheta=sino.dtheta,
-        t0=sino.t0,
-        dt=sino.dt,
-        data=filtered.real,
-        max_imag=max_imag,
-    )
+    return FilteredSinogram(*sino.geometry(), data=filtered.real, max_imag=max_imag)
 
 
 def _square_orbits(theta0: float, dtheta: float, num_angles: int) -> list[list[tuple[int, int]]]:

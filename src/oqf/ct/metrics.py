@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phantom import Ellipse, ImageGrid, shepp_logan_phantom
+from .phantom import ImageGrid, shepp_logan_phantom
 
 
 @dataclass(frozen=True)
@@ -19,25 +19,14 @@ class QualityReport:
 
 
 def inner_region_mask(image: ImageGrid, scale: float = 0.98) -> np.ndarray:
-    """Pixels strictly inside the inner-skull ellipse shrunk by `scale`.
+    """Pixels inside or on the inner-skull ellipse shrunk by `scale`.
 
     The mask excludes the bright outer ring of the head phantom so metrics
     reflect interior structure only.
     """
     inner = shepp_logan_phantom().ellipses[1]
-    e = Ellipse(
-        inner.center_x,
-        inner.center_y,
-        inner.semi_a * scale,
-        inner.semi_b * scale,
-        inner.rotation_deg,
-        inner.intensity,
-    )
-    gx, gy = image.pixel_centers()
-    phi = math.radians(e.rotation_deg)
-    u = (gx - e.center_x) * math.cos(phi) + (gy - e.center_y) * math.sin(phi)
-    v = -(gx - e.center_x) * math.sin(phi) + (gy - e.center_y) * math.cos(phi)
-    return (u / e.semi_a) ** 2 + (v / e.semi_b) ** 2 <= 1.0
+    shrunk = replace(inner, semi_a=inner.semi_a * scale, semi_b=inner.semi_b * scale)
+    return shrunk.contains(*image.pixel_centers())
 
 
 def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> QualityReport:

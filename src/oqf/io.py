@@ -23,14 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .ct.phantom import GeometryError, ImageGrid, Sinogram, check_geometry
+from .ct.phantom import GeometryError, ImageGrid, Sinogram, check_geometry, check_raster
 
 SINO_MAGIC = b"OQFSINO1"
-# Byte offset of each sinogram header field, after the 8-byte magic.
-_SINO_HEADER_OFFSETS = {
-    "num_angles": 8, "num_bins": 12, "theta0": 16, "dtheta": 24, "t0": 32, "dt": 40,
-}
 IMG_MAGIC = b"OQFIMG1\0"
+# Both containers: 8-byte magic, this header, then f64 data of the first two
+# header fields' shape.
+_HEADER = struct.Struct("<IIdddd")
+# Byte offset of each header field of either container, by field name.
+_HEADER_OFFSETS = {
+    "num_angles": 8, "num_bins": 12, "theta0": 16, "dtheta": 24, "t0": 32, "dt": 40,
+    "rows": 8, "cols": 12, "min_x": 16, "min_y": 24, "max_x": 32, "max_y": 40,
+}
 
 
 class FormatError(ValueError):
@@ -114,61 +118,48 @@ def read_complex_csv(
     return xs_arr, np.asarray(vals, dtype=complex)
 
 
-def write_sinogram(path: str | Path, sino: Sinogram) -> None:
-    header = SINO_MAGIC + struct.pack(
-        "<IIdddd", sino.num_angles, sino.num_bins,
-        sino.theta0, sino.dtheta, sino.t0, sino.dt,
-    )
-    payload = header + np.ascontiguousarray(sino.data, dtype="<f8").tobytes()
+def _write_container(path: str | Path, magic: bytes, header: tuple, data: np.ndarray) -> None:
+    payload = magic + _HEADER.pack(*header) + np.ascontiguousarray(data, dtype="<f8").tobytes()
     atomic_write_bytes(path, payload)
+
+
+def _read_container(path: str | Path, magic: bytes, check) -> tuple[tuple, np.ndarray]:
+    """Header fields and data of a binary container whose header passes ``check``."""
+    raw = Path(path).read_bytes()
+    if raw[:8] != magic:
+        raise FormatError(f"{path}: bad magic at offset 0")
+    header_size = 8 + _HEADER.size
+    if len(raw) < header_size:
+        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
+    header = _HEADER.unpack(raw[8:header_size])
+    try:
+        check(*header)
+    except GeometryError as exc:
+        offset = _HEADER_OFFSETS[exc.field]
+        raise FormatError(f"{path}: header at offset {offset}: {exc}") from None
+    shape = header[:2]
+    expected = header_size + 8 * shape[0] * shape[1]
+    if len(raw) != expected:
+        raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")
+    return header, np.frombuffer(raw[header_size:], dtype="<f8").reshape(shape).copy()
+
+
+def write_sinogram(path: str | Path, sino: Sinogram) -> None:
+    _write_container(path, SINO_MAGIC, sino.geometry(), sino.data)
 
 
 def read_sinogram(path: str | Path) -> Sinogram:
-    raw = Path(path).read_bytes()
-    if raw[:8] != SINO_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0")
-    header_size = 8 + struct.calcsize("<IIdddd")
-    if len(raw) < header_size:
-        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
-    num_angles, num_bins, theta0, dtheta, t0, dt = struct.unpack(
-        "<IIdddd", raw[8:header_size]
-    )
-    try:
-        check_geometry(num_angles, num_bins, theta0, dtheta, t0, dt)
-    except GeometryError as exc:
-        offset = _SINO_HEADER_OFFSETS[exc.field]
-        raise FormatError(f"{path}: header at offset {offset}: {exc}") from None
-    expected = header_size + 8 * num_angles * num_bins
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")
-    data = np.frombuffer(raw[header_size:], dtype="<f8").reshape(num_angles, num_bins)
-    return Sinogram(num_angles, num_bins, theta0, dtheta, t0, dt, data.copy())
+    header, data = _read_container(path, SINO_MAGIC, check_geometry)
+    return Sinogram(*header, data)
 
 
 def write_image(path: str | Path, image: ImageGrid) -> None:
-    min_x, min_y, max_x, max_y = image.extent
-    header = IMG_MAGIC + struct.pack(
-        "<IIdddd", image.rows, image.cols, min_x, min_y, max_x, max_y
-    )
-    payload = header + np.ascontiguousarray(image.pixels, dtype="<f8").tobytes()
-    atomic_write_bytes(path, payload)
+    _write_container(path, IMG_MAGIC, (image.rows, image.cols, *image.extent), image.pixels)
 
 
 def read_image(path: str | Path) -> ImageGrid:
-    raw = Path(path).read_bytes()
-    if raw[:8] != IMG_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0")
-    header_size = 8 + struct.calcsize("<IIdddd")
-    if len(raw) < header_size:
-        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
-    rows, cols, min_x, min_y, max_x, max_y = struct.unpack(
-        "<IIdddd", raw[8:header_size]
-    )
-    expected = header_size + 8 * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")
-    pixels = np.frombuffer(raw[header_size:], dtype="<f8").reshape(rows, cols)
-    return ImageGrid(rows, cols, pixels.copy(), (min_x, min_y, max_x, max_y))
+    (rows, cols, *extent), pixels = _read_container(path, IMG_MAGIC, check_raster)
+    return ImageGrid(rows, cols, pixels, tuple(extent))
 
 
 def write_pgm16(path: str | Path, image: ImageGrid) -> None:

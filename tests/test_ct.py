@@ -303,6 +303,26 @@ def test_geometry_rejects_meaningless_lattice(cls, case):
         cls(data=data, **fields)
 
 
+@pytest.mark.parametrize("rows,cols,extent", [
+    (0, 2, (-1.0, -1.0, 1.0, 1.0)), (2, 0, (-1.0, -1.0, 1.0, 1.0)),
+    (2, 2, (math.nan, -1.0, 1.0, 1.0)), (2, 2, (-1.0, -1.0, 1.0, math.inf)),
+    (2, 2, (1.0, -1.0, 1.0, 1.0)), (2, 2, (-1.0, 1.0, 1.0, -1.0)),
+])
+def test_image_grid_rejects_meaningless_raster(rows, cols, extent):
+    with pytest.raises(ValueError):
+        ImageGrid(rows, cols, np.zeros((rows, cols)), extent)
+
+
+def test_ellipse_contains_boundary_rotation_and_broadcast():
+    e = Ellipse(0.25, -0.5, 0.5, 0.25, 0.0, 1.0)
+    assert e.contains(0.75, -0.5) and e.contains(0.25, -0.25)
+    assert not e.contains(0.75 + 1e-9, -0.5) and not e.contains(0.25, -0.25 + 1e-9)
+    turned = Ellipse(0.0, 0.0, 0.5, 0.25, 90.0, 1.0)
+    assert turned.contains(0.0, 0.45) and not turned.contains(0.45, 0.0)
+    inside = e.contains(np.array([[0.25], [0.8]]), np.array([-0.5, -0.25, 0.5]))
+    np.testing.assert_array_equal(inside, [[True, True, False], [False, False, False]])
+
+
 def test_fbp_small_scale_recovers_disk():
     ph = unit_disk()
     cfg = FbpConfig(size=64, dtheta_deg=3.0)
@@ -333,6 +353,19 @@ def test_fbp_accepts_precomputed_sinogram():
     a = fbp_reconstruct(ph, cfg)
     b = fbp_reconstruct(sino, cfg)
     np.testing.assert_array_equal(a.pixels, b.pixels)
+
+
+def test_fbp_filters_a_filtered_sinogram_again():
+    cfg = FbpConfig(size=32, dtheta_deg=6.0).resolved()
+    sino = radon_analytic(
+        unit_disk(), num_angles=cfg.num_angles, dtheta_deg=cfg.dtheta_deg, num_bins=cfg.num_bins
+    )
+    once = filter_projections(sino, cfg.omega_band, cfg.num_omega)
+    assert isinstance(once, Sinogram) and once.geometry() == sino.geometry()
+    twice = filter_projections(once, cfg.omega_band, cfg.num_omega)
+    np.testing.assert_array_equal(
+        fbp_reconstruct(once, cfg).pixels, backproject(twice, cfg.size).pixels
+    )
 
 
 def test_metrics_identical_images():

@@ -95,6 +95,34 @@ def test_sinogram_header_geometry_rejected_with_offset(tmp_path, field, value, o
         oqfio.read_sinogram(path)
 
 
+def write_raw_image(path, rows=2, cols=3, min_x=-1.0, min_y=-1.0, max_x=1.0, max_y=1.0):
+    header = struct.pack("<IIdddd", rows, cols, min_x, min_y, max_x, max_y)
+    path.write_bytes(oqfio.IMG_MAGIC + header + bytes(8 * rows * cols))
+
+
+@pytest.mark.parametrize("field,value,offset", [
+    ("rows", 0, 8), ("cols", 0, 12), ("min_x", math.nan, 16),
+    ("min_y", -math.inf, 24), ("max_x", -1.0, 32), ("max_y", math.nan, 40),
+])
+def test_image_header_raster_rejected_with_offset(tmp_path, field, value, offset):
+    path = tmp_path / "i.img"
+    write_raw_image(path, **{field: value})
+    with pytest.raises(oqfio.FormatError, match=f"offset {offset}: {field}"):
+        oqfio.read_image(path)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(rows=0, cols=0), dict(min_x=math.nan), dict(max_y=-2.0),
+])
+def test_cli_metrics_bad_image_header_is_validation_error(tmp_path, capsys, fields):
+    bad, ok = tmp_path / "bad.img", tmp_path / "ok.img"
+    write_raw_image(bad, **fields)
+    write_raw_image(ok)
+    assert main(["metrics", "--test", str(bad), "--ref", str(ok), "--mask", "both"]) == 3
+    err = capsys.readouterr().err
+    assert "header at offset" in err and "Traceback" not in err
+
+
 def test_image_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     img = ImageGrid(4, 4, rng.normal(size=(4, 4)), (-2.0, -1.0, 2.0, 1.0))
