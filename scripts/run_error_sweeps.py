@@ -6,7 +6,7 @@ symmetric intervals, at both step sizes.  Writes one CSV per
 import argparse
 from pathlib import Path
 
-from oqf.io import atomic_write_text
+from oqf.io import write_sweep_csv
 from oqf.transform import error_sweep
 
 
@@ -26,14 +26,8 @@ def main():
                 records = error_sweep(
                     alpha, (-half, half), n, -half, half, args.omega_count
                 )
-                lines = ["omega,abs_re_err,abs_im_err"]
-                for rec in records:
-                    lines.append(
-                        f"{float(rec.omega)!r},{float(rec.abs_real_error)!r},"
-                        f"{float(rec.abs_imag_error)!r}"
-                    )
                 name = f"sweep_half{half:g}_alpha{alpha}_h{h:g}.csv"
-                atomic_write_text(outdir / name, "\n".join(lines) + "\n")
+                write_sweep_csv(outdir / name, records)
                 worst = max(r.abs_real_error for r in records)
                 print(f"{name}: n={n}, max |Re err| = {worst:.3e}")
 

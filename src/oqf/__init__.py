@@ -9,7 +9,6 @@ samples, and a CT filtered back-projection pipeline built on top.
 from .grid import SampledFunction, UniformGrid
 from .quadrature import (
     ErrorNormReport,
-    MonomialIntegral,
     OptimalCoefficients,
     apply_quadrature,
     apply_weights,
@@ -31,7 +30,6 @@ from .transform import (
 
 __all__ = [
     "ErrorNormReport",
-    "MonomialIntegral",
     "OptimalCoefficients",
     "QuadratureErrorRecord",
     "SampledFunction",

@@ -121,12 +121,7 @@ def cmd_error_sweep(params: dict) -> int:
         float(params["omega_max"]),
         int(params["omega_count"]),
     )
-    lines = ["omega,abs_re_err,abs_im_err"]
-    for rec in records:
-        lines.append(
-            f"{float(rec.omega)!r},{float(rec.abs_real_error)!r},{float(rec.abs_imag_error)!r}"
-        )
-    oqfio.atomic_write_text(params["out"], "\n".join(lines) + "\n")
+    oqfio.write_sweep_csv(params["out"], records)
     return EXIT_OK
 
 

@@ -22,9 +22,6 @@ from ..grid import UniformGrid
 from ..quadrature import apply_weights
 from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic
 
-# Pixels per back-projection strip: keeps a strip's temporaries in cache.
-_STRIP_PIXELS = 1 << 14
-
 
 @dataclass(frozen=True)
 class FilteredSinogram(Sinogram):
@@ -165,15 +162,16 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
 
     accum = image.pixels                # frames 0 and 2
     turned = np.zeros((size, size))     # frames 1 and 3, before [:, ::-1].T
-    rows = min(size, max(1, _STRIP_PIXELS // size))
+    strips = image.strips()
+    rows = strips[0].stop  # the first strip is the tallest
     weight = np.empty((rows, size), dtype=complex)
     weight.real = 1.0
     index = np.empty((rows, size), dtype=np.intp)
     on_last_bin = np.empty((rows, size), dtype=bool)
     gathered = np.empty((rows, size), dtype=complex)
     sums = np.empty((4, rows, size), dtype=complex)
-    for r0 in range(0, size, rows):
-        r1 = min(r0 + rows, size)
+    for strip in strips:
+        r0, r1 = strip.start, strip.stop
         h = r1 - r0
         w, idx, hit, g, s = (
             weight[:h], index[:h], on_last_bin[:h], gathered[:h], sums[:, :h]

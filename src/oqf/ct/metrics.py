@@ -18,15 +18,25 @@ class QualityReport:
     region: str
 
 
-def inner_region_mask(image: ImageGrid, scale: float = 0.98) -> np.ndarray:
-    """Pixels inside or on the inner-skull ellipse shrunk by `scale`.
+# The inner region is the inner-skull ellipse shrunk by this factor.
+INNER_SCALE = 0.98
+
+
+def inner_region_mask(image: ImageGrid) -> np.ndarray:
+    """Pixels inside or on the inner-skull ellipse shrunk by INNER_SCALE.
 
     The mask excludes the bright outer ring of the head phantom so metrics
     reflect interior structure only.
     """
     inner = shepp_logan_phantom().ellipses[1]
-    shrunk = replace(inner, semi_a=inner.semi_a * scale, semi_b=inner.semi_b * scale)
-    return shrunk.contains(*image.pixel_centers())
+    shrunk = replace(
+        inner, semi_a=inner.semi_a * INNER_SCALE, semi_b=inner.semi_b * INNER_SCALE
+    )
+    mask = np.empty((image.rows, image.cols), dtype=bool)
+    xs, ys = image.axes()
+    for strip in image.strips():
+        mask[strip] = shrunk.contains(xs, ys[strip, None])
+    return mask
 
 
 def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> QualityReport:

@@ -76,6 +76,12 @@ def shepp_logan_phantom(variant: str = "modified") -> EllipsePhantom:
     ))
 
 
+# Raster loops work in strips of this many pixels, so each pass's temporaries
+# cover one strip: whole-raster ones page-faulted afresh on every pass, which
+# took up to three times as long at 512^2.
+STRIP_PIXELS = 1 << 14
+
+
 @dataclass(frozen=True)
 class ImageGrid:
     """A square raster of real pixel values with physical extent.
@@ -111,6 +117,11 @@ class ImageGrid:
         """Physical (x, y) coordinates of all pixel centers, as 2-d arrays."""
         return np.meshgrid(*self.axes())
 
+    def strips(self) -> list[slice]:
+        """Row slices of at most STRIP_PIXELS pixels (one row at least), in order."""
+        rows = min(self.rows, max(1, STRIP_PIXELS // self.cols))
+        return [slice(r0, min(r0 + rows, self.rows)) for r0 in range(0, self.rows, rows)]
+
 
 def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
     """Rasterize the phantom on a size x size grid over [-1, 1]^2.
@@ -121,16 +132,10 @@ def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
     if size < 16:
         raise ValueError(f"raster size must be at least 16, got {size}")
     image = ImageGrid(size, size, np.zeros((size, size)))
-    pixels = image.pixels
-    gx, gy = image.pixel_centers()
-    # Strips of 2^14 pixels keep each test's temporaries small enough for the
-    # allocator to reuse; whole-raster ones page-faulted afresh per ellipse,
-    # which took up to three times as long at 512^2.
-    rows = max(1, (1 << 14) // size)
-    for r0 in range(0, size, rows):
-        strip = slice(r0, r0 + rows)
+    xs, ys = image.axes()
+    for strip in image.strips():
         for e in phantom.ellipses:
-            pixels[strip] += e.intensity * e.contains(gx[strip], gy[strip])
+            image.pixels[strip] += e.intensity * e.contains(xs, ys[strip, None])
     return image
 
 

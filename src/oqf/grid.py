@@ -55,7 +55,3 @@ class SampledFunction:
                 f"expected {self.grid.n + 1} samples, got shape {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, func) -> "SampledFunction":
-        return cls(grid, np.asarray([func(x) for x in grid.nodes()], dtype=complex))

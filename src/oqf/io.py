@@ -35,6 +35,9 @@ _HEADER_OFFSETS = {
     "num_angles": 8, "num_bins": 12, "theta0": 16, "dtheta": 24, "t0": 32, "dt": 40,
     "rows": 8, "cols": 12, "min_x": 16, "min_y": 24, "max_x": 32, "max_y": 40,
 }
+# read_complex_csv accepts an abscissa within this fraction of
+# max(step, max|x|) of the uniform lattice through the first and last rows.
+UNIFORM_RTOL = 1e-9
 
 
 class FormatError(ValueError):
@@ -74,9 +77,17 @@ def write_complex_csv(path: str | Path, abscissa_name: str, xs, values) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_complex_csv(
-    path: str | Path, uniform_rtol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+def write_sweep_csv(path: str | Path, records) -> None:
+    """CSV with header omega,abs_re_err,abs_im_err, one row per error record."""
+    lines = ["omega,abs_re_err,abs_im_err"]
+    for rec in records:
+        lines.append(
+            f"{float(rec.omega)!r},{float(rec.abs_real_error)!r},{float(rec.abs_imag_error)!r}"
+        )
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a <abscissa>,re,im CSV and validate uniform spacing.
 
     Returns (abscissae, complex values).  Raises FormatError naming the
@@ -109,7 +120,7 @@ def read_complex_csv(
         raise FormatError(f"{path}: abscissae must be increasing")
     expected = xs_arr[0] + step * np.arange(len(xs_arr))
     dev = np.abs(xs_arr - expected)
-    bad = np.nonzero(dev > uniform_rtol * max(abs(step), np.abs(xs_arr).max()))[0]
+    bad = np.nonzero(dev > UNIFORM_RTOL * max(abs(step), np.abs(xs_arr).max()))[0]
     if bad.size:
         raise FormatError(
             f"{path}: row {int(bad[0]) + 2}: abscissa {xs_arr[bad[0]]!r} "

@@ -87,15 +87,7 @@ def quadrature_error_monomial(
     quadrature runs over the (possibly wider) given interval with the
     truncated integrand sampled at its nodes.
     """
-    if alpha not in (0, 1, 2):
-        raise ValueError(f"monomial degree must be 0, 1 or 2, got {alpha}")
-    a, b = interval
-    if a > -1.0 or b < 1.0:
-        raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
-    grid = UniformGrid(a, b, n)
-    exact = monomial_fourier_integral(alpha, omega, -1.0, 1.0).value
-    approx = apply_weights(grid, [float(omega)], truncated_monomial_samples(alpha, grid))[0]
-    return QuadratureErrorRecord(alpha, float(omega), a, b, grid.h, complex(exact - approx))
+    return _monomial_errors(alpha, interval, n, np.array([float(omega)]))[0]
 
 
 def error_sweep(
@@ -109,16 +101,22 @@ def error_sweep(
     """Quadrature errors on an equispaced frequency lattice (endpoints included)."""
     if omega_count < 2:
         raise ValueError(f"need at least 2 lattice points, got {omega_count}")
+    return _monomial_errors(
+        alpha, interval, n, np.linspace(omega_min, omega_max, omega_count)
+    )
+
+
+def _monomial_errors(
+    alpha: int, interval: tuple[float, float], n: int, omegas: np.ndarray
+) -> list[QuadratureErrorRecord]:
+    if alpha not in (0, 1, 2):
+        raise ValueError(f"monomial degree must be 0, 1 or 2, got {alpha}")
     a, b = interval
     if a > -1.0 or b < 1.0:
         raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
     grid = UniformGrid(a, b, n)
-    omegas = np.linspace(omega_min, omega_max, omega_count)
     approx = apply_weights(grid, omegas, truncated_monomial_samples(alpha, grid))
-    exact = np.array(
-        [monomial_fourier_integral(alpha, om, -1.0, 1.0).value for om in omegas]
-    )
-    errors = exact - approx
+    errors = monomial_fourier_integral(alpha, omegas, -1.0, 1.0) - approx
     return [
         QuadratureErrorRecord(alpha, float(om), a, b, grid.h, complex(err))
         for om, err in zip(omegas, errors)

@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,3 +437,23 @@ def test_cli_subcommand_defaults_flags_and_required(command, capsys, monkeypatch
         assert rc == 0
     else:
         assert rc == 3 and captured.err == f"error: {required_error}\n"
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script, outputs", [
+    ("run_error_sweeps.py", 18),
+    ("run_1d_reconstruction.py", 6),
+])
+def test_scripts_write_their_outputs(script, outputs, tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == outputs
+    assert done.stdout.count("\n") == outputs

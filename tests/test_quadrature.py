@@ -20,6 +20,8 @@ from oqf.quadrature import (
 )
 
 TWO_PI = 2.0 * math.pi
+# np.trapezoid is new in NumPy 2.0; np.trapz is its name before that.
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def test_grid_invariants():
@@ -112,8 +114,8 @@ def test_apply_quadrature_exact_on_constants_and_linears():
         coeffs = optimal_coefficients(g, om)
         ones = SampledFunction(g, np.ones(n + 1))
         xs = SampledFunction(g, g.nodes().astype(complex))
-        g0 = monomial_fourier_integral(0, om, a, b).value
-        g1 = monomial_fourier_integral(1, om, a, b).value
+        g0 = monomial_fourier_integral(0, om, a, b)
+        g1 = monomial_fourier_integral(1, om, a, b)
         assert abs(apply_quadrature(coeffs, ones) - g0) < 1e-12 * abs(g0) + 1e-14
         assert abs(apply_quadrature(coeffs, xs) - g1) < 1e-12 * abs(g1) + 1e-14
 
@@ -132,18 +134,18 @@ def test_quadratic_error_ratio_order_h_squared():
             g = UniformGrid(-1.0, 1.0, n)
             coeffs = optimal_coefficients(g, om)
             sq = SampledFunction(g, (g.nodes() ** 2).astype(complex))
-            exact = monomial_fourier_integral(2, om, -1.0, 1.0).value
+            exact = monomial_fourier_integral(2, om, -1.0, 1.0)
             errors[n] = abs(apply_quadrature(coeffs, sq) - exact)
         if errors[200] > 1e-13:
             assert 50.0 <= errors[20] / errors[200] <= 200.0
 
 
 def test_monomial_integral_examples():
-    assert monomial_fourier_integral(0, 0.5, -1.0, 1.0).value == pytest.approx(
+    assert monomial_fourier_integral(0, 0.5, -1.0, 1.0) == pytest.approx(
         0.0, abs=1e-15
     )
-    assert monomial_fourier_integral(2, 0.0, -1.0, 1.0).value == pytest.approx(2.0 / 3.0)
-    assert monomial_fourier_integral(1, 0.0, 2.0, 5.0).value == pytest.approx(
+    assert monomial_fourier_integral(2, 0.0, -1.0, 1.0) == pytest.approx(2.0 / 3.0)
+    assert monomial_fourier_integral(1, 0.0, 2.0, 5.0) == pytest.approx(
         (25.0 - 4.0) / 2.0
     )
 
@@ -155,29 +157,48 @@ def test_monomial_integral_matches_reference_specializations():
         g0 = math.sin(c) / (math.pi * om)
         g1 = 2j / c**2 * (math.sin(c) - c * math.cos(c))
         g2 = 4.0 / c**3 * ((c * c / 2.0 - 1.0) * math.sin(c) + c * math.cos(c))
-        assert monomial_fourier_integral(0, om, -1, 1).value == pytest.approx(g0, abs=1e-13)
-        assert monomial_fourier_integral(1, om, -1, 1).value == pytest.approx(g1, abs=1e-13)
-        assert monomial_fourier_integral(2, om, -1, 1).value == pytest.approx(g2, abs=1e-13)
+        assert monomial_fourier_integral(0, om, -1, 1) == pytest.approx(g0, abs=1e-13)
+        assert monomial_fourier_integral(1, om, -1, 1) == pytest.approx(g1, abs=1e-13)
+        assert monomial_fourier_integral(2, om, -1, 1) == pytest.approx(g2, abs=1e-13)
 
 
 def test_monomial_integral_against_quadrature_oracle():
     # dense trapezoid refinement as an independent numeric check
     rng = np.random.default_rng(3)
+    cases = []
     for alpha in range(9):
         om = rng.uniform(-3.0, 3.0)
         a = rng.uniform(-2.0, 0.0)
         b = a + rng.uniform(0.5, 3.0)
+        cases.append((alpha, om, a, b))
+    # high degrees at small |2 pi omega| (b - a), where the closed form cancels
+    for alpha in (4, 6, 8):
+        for a, b in ((-1.0, 1.0), (-2.0, 1.0)):
+            for zl in (0.51, 1.0, 2.0):
+                cases.append((alpha, zl / (TWO_PI * (b - a)), a, b))
+    for alpha, om, a, b in cases:
         xs = np.linspace(a, b, 400001)
-        numeric = np.trapezoid(np.exp(2j * math.pi * om * xs) * xs**alpha, xs)
-        value = monomial_fourier_integral(alpha, om, a, b).value
+        numeric = trapezoid(np.exp(2j * math.pi * om * xs) * xs**alpha, xs)
+        value = monomial_fourier_integral(alpha, om, a, b)
         assert abs(value - numeric) < 1e-9 * max(1.0, abs(numeric))
+
+
+def test_monomial_integral_array_matches_elementwise_calls():
+    omegas = np.array([-3.1, -0.2, -0.0, 0.0, 1e-9, 0.05, 0.4, 2.9, 40.0])
+    for alpha in (0, 1, 2, 5, 8):
+        for a, b in ((-1.0, 1.0), (-1.5, 2.0), (3.0, 3.5)):
+            values = monomial_fourier_integral(alpha, omegas, a, b)
+            assert values.shape == omegas.shape
+            singles = [monomial_fourier_integral(alpha, om, a, b) for om in omegas]
+            assert all(isinstance(v, complex) for v in singles)
+            np.testing.assert_array_equal(values, singles)
 
 
 def test_monomial_conjugate_symmetry():
     for alpha in (0, 1, 3, 6):
         for om in (0.4, 2.9):
-            plus = monomial_fourier_integral(alpha, om, -1.5, 2.0).value
-            minus = monomial_fourier_integral(alpha, -om, -1.5, 2.0).value
+            plus = monomial_fourier_integral(alpha, om, -1.5, 2.0)
+            minus = monomial_fourier_integral(alpha, -om, -1.5, 2.0)
             assert minus == pytest.approx(np.conj(plus), rel=1e-12, abs=1e-14)
 
 
@@ -218,7 +239,7 @@ def test_series_and_direct_branches_agree():
     for theta in thetas:
         om = theta / (TWO_PI * 0.1)
         vals = optimal_coefficients(g, om).values
-        g0 = monomial_fourier_integral(0, om, 0.0, 1.0).value
+        g0 = monomial_fourier_integral(0, om, 0.0, 1.0)
         assert abs(vals.sum() - g0) < 1e-13
 
 
@@ -270,6 +291,9 @@ def test_coefficient_matrix_rejects_non_finite_frequency():
             apply_weights(g, omegas, np.ones(5))
     with pytest.raises(ValueError, match="finite"):
         apply_weights(g, [0.0, 1.0], np.array([1.0, math.nan, 0.0, 0.0, 0.0]))
+    for omegas in (math.nan, [0.0, math.inf], [[0.0]]):
+        with pytest.raises(ValueError):
+            monomial_fourier_integral(1, omegas, 0.0, 1.0)
 
 
 def test_series_branches_equal_numpy_polynomial_polyval():
@@ -434,8 +458,8 @@ def test_apply_weights_properties(a, length, n, m, theta_max, start, chirp, seed
                  np.abs(real).max())
 
     c0, c1 = rng.normal(size=2)
-    exact = np.array([c0 * monomial_fourier_integral(0, w, grid.a, grid.b).value
-                      + c1 * monomial_fourier_integral(1, w, grid.a, grid.b).value
+    exact = np.array([c0 * monomial_fourier_integral(0, w, grid.a, grid.b)
+                      + c1 * monomial_fourier_integral(1, w, grid.a, grid.b)
                       for w in omegas])
     assert_close(transform(omegas, c0 + c1 * grid.nodes()), exact,
                  abs(c0) + abs(c1) * max(abs(grid.a), abs(grid.b)))

@@ -36,7 +36,7 @@ def test_forward_linear_is_exact():
     f = SampledFunction(g, g.nodes().astype(complex))
     for om in (0.3, 1.9, -2.4):
         sp = forward_transform(f, [om])
-        exact = monomial_fourier_integral(1, -om, -1.0, 1.0).value
+        exact = monomial_fourier_integral(1, -om, -1.0, 1.0)
         assert sp.values[0] == pytest.approx(exact, abs=1e-13)
 
 
@@ -71,7 +71,7 @@ def test_error_bounded_by_cauchy_schwarz():
         f = SampledFunction(g, (g.nodes() ** 2).astype(complex))
         for om in (0.4, 1.0, 3.3):
             approx = forward_transform(f, [-om]).values[0]  # kernel e^{+2 pi i om x}
-            exact = monomial_fourier_integral(2, om, 0.0, 1.0).value
+            exact = monomial_fourier_integral(2, om, 0.0, 1.0)
             bound = deriv_norm * error_norm(om, g.h).norm
             assert abs(exact - approx) <= bound * (1.0 + 1e-12)
 
@@ -116,6 +116,8 @@ def test_monomial_error_interval_validation():
         quadrature_error_monomial(0, 1.0, (-0.5, 1.0), 10)
     with pytest.raises(ValueError):
         quadrature_error_monomial(3, 1.0, (-1.0, 1.0), 10)
+    with pytest.raises(ValueError):
+        error_sweep(3, (-1.0, 1.0), 10, -1.0, 1.0, 21)
 
 
 def test_error_sweep_h_squared_ratio():
@@ -125,6 +127,17 @@ def test_error_sweep_h_squared_ratio():
         if rf.abs_real_error > 1e-13:
             ratio = rc.abs_real_error / rf.abs_real_error
             assert 50.0 <= ratio <= 200.0
+
+
+def test_error_sweep_rows_match_single_frequency_errors():
+    # the sweep sums a uniform lattice by chirp-z, the single call densely
+    for alpha in (0, 1, 2):
+        records = error_sweep(alpha, (-3.0, 3.0), 60, -4.0, 4.0, 17)
+        for rec in records:
+            single = quadrature_error_monomial(alpha, rec.omega, (-3.0, 3.0), 60)
+            assert (single.alpha, single.omega, single.a, single.b, single.h) == (
+                rec.alpha, rec.omega, rec.a, rec.b, rec.h)
+            assert abs(single.error - rec.error) <= 1e-12
 
 
 def test_error_sweep_zero_frequency_row_exact():
@@ -170,7 +183,7 @@ def test_error_sweep_wide_table_matches_dense_and_stays_machine_zero():
     xs = g.nodes()
     samples = np.where(np.abs(xs) <= 1.0, xs, 0.0)
     omegas = np.array([r.omega for r in records])
-    exact = np.array([monomial_fourier_integral(1, om, -1.0, 1.0).value for om in omegas])
+    exact = np.array([monomial_fourier_integral(1, om, -1.0, 1.0) for om in omegas])
     dense = exact - coefficient_matrix(g, omegas) @ samples
     errors = np.array([r.error for r in records])
     assert np.abs(errors - dense).max() <= 1e-12 * np.abs(exact).max()
