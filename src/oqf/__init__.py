@@ -8,16 +8,10 @@ samples, and a CT filtered back-projection pipeline built on top.
 
 from .grid import SampledFunction, UniformGrid
 from .quadrature import (
-    ErrorNormReport,
-    OptimalCoefficients,
-    apply_quadrature,
     apply_weights,
     coefficient_matrix,
-    cosine_coefficients,
     error_norm,
     monomial_fourier_integral,
-    optimal_coefficients,
-    sine_coefficients,
 )
 from .transform import (
     QuadratureErrorRecord,
@@ -29,24 +23,18 @@ from .transform import (
 )
 
 __all__ = [
-    "ErrorNormReport",
-    "OptimalCoefficients",
     "QuadratureErrorRecord",
     "SampledFunction",
     "SpectrumSamples",
     "UniformGrid",
-    "apply_quadrature",
     "apply_weights",
     "coefficient_matrix",
-    "cosine_coefficients",
     "error_norm",
     "error_sweep",
     "forward_transform",
     "inverse_transform",
     "monomial_fourier_integral",
-    "optimal_coefficients",
     "quadrature_error_monomial",
-    "sine_coefficients",
 ]
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .ct import (
 )
 from .ct.phantom import PHANTOM_VARIANTS
 from .grid import SampledFunction, UniformGrid
-from .quadrature import optimal_coefficients
+from .quadrature import coefficient_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,8 +89,7 @@ def _optional(cast, value):
 
 def cmd_coeffs(params: dict) -> int:
     grid = UniformGrid(float(params["a"]), float(params["b"]), int(params["n"]))
-    coeffs = optimal_coefficients(grid, float(params["omega"]))
-    oqfio.write_coefficients_csv(params["out"], coeffs.values)
+    oqfio.write_coefficients_csv(params["out"], coefficient_matrix(grid, float(params["omega"])))
     return EXIT_OK
 
 

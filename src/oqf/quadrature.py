@@ -3,17 +3,18 @@
 The weights minimize the worst-case error over the unit ball of the Sobolev
 seminorm (L2 norm of the first derivative) with nodes fixed.  The kernel is
 e^{2 pi i omega x} with omega in cycles per unit.  Everything here is a pure
-function of its arguments.
+function of its arguments.  The closed forms (coefficient_matrix, error_norm,
+monomial_fourier_integral) take frequencies one way: a scalar gives the
+result for that frequency, a 1-d array one result per entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid
+from .grid import UniformGrid
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,36 +47,6 @@ _DENSE_BLOCK_WEIGHTS = 1 << 20
 # ulps of max|omega| of the straight line through its centre entry with the
 # end-to-end mean step; np.linspace and UniformGrid.nodes() stay within one.
 _UNIFORM_ULPS = 4
-
-
-@dataclass(frozen=True)
-class OptimalCoefficients:
-    """The n+1 complex quadrature weights for a (grid, frequency) pair."""
-
-    grid: UniformGrid
-    omega: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n + 1,):
-            raise ValueError(
-                f"expected {self.grid.n + 1} weights, got shape {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class ErrorNormReport:
-    """Worst-case error norm of the quadrature over the Sobolev unit ball."""
-
-    omega: float
-    h: float
-    norm_sq: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
 
 
 def _interior_factor(theta):
@@ -117,11 +88,14 @@ def _frequencies(omegas) -> np.ndarray:
 
 
 def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
-    """Optimal weights for many frequencies at once.
+    """Optimal weights C_beta(omega) of the quadrature for
+    int_a^b e^{2 pi i omega x} phi(x) dx on the given grid.
 
-    Returns an array of shape (len(omegas), n+1); row k holds the weights
-    for frequency omegas[k] on the given grid.
+    A scalar frequency gives the (n+1,) weights; 1-d frequencies give an
+    array of shape (len(omegas), n+1) whose row k holds the weights for
+    omegas[k].
     """
+    scalar = np.ndim(omegas) == 0
     omegas = _frequencies(omegas)
     h = grid.h
     theta = TWO_PI * omegas * h
@@ -135,7 +109,8 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     factors[:, 1:-1] = interior[:, None] if grid.n > 1 else 0.0
     factors[:, 0] = left
     factors[:, -1] = right
-    return h * factors * phases
+    weights = h * factors * phases
+    return weights[0] if scalar else weights
 
 
 def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
@@ -277,40 +252,24 @@ def _apply_chirp(
     return out.T.reshape(omegas.shape + values.shape[1:])
 
 
-def optimal_coefficients(grid: UniformGrid, omega: float) -> OptimalCoefficients:
-    """Weights of the optimal quadrature for int_a^b e^{2 pi i omega x} phi(x) dx."""
-    values = coefficient_matrix(grid, [float(omega)])[0]
-    return OptimalCoefficients(grid, float(omega), values)
+def error_norm(omegas, h: float):
+    """Squared norm of the error functional of the optimal weights at step h,
+    the squared worst-case error over the Sobolev unit ball.
 
-
-def cosine_coefficients(grid: UniformGrid, omega: float) -> np.ndarray:
-    """Real parts of the optimal weights (cosine-kernel quadrature)."""
-    return coefficient_matrix(grid, [float(omega)])[0].real.copy()
-
-
-def sine_coefficients(grid: UniformGrid, omega: float) -> np.ndarray:
-    """Imaginary parts of the optimal weights (sine-kernel quadrature)."""
-    return coefficient_matrix(grid, [float(omega)])[0].imag.copy()
-
-
-def error_norm(omega: float, h: float) -> ErrorNormReport:
-    """Squared worst-case error of the optimal weights at (omega, h)."""
-    if not h > 0:
-        raise ValueError(f"step must be positive, got h={h}")
-    omega = float(omega)
-    theta = TWO_PI * omega * h
-    if abs(theta) < SMALL_THETA:
-        norm_sq = h * h * float(np.polyval(_NORM_SERIES, theta * theta))
-    else:
-        norm_sq = (1.0 - float(_interior_factor(theta))) / (TWO_PI * omega) ** 2
-    return ErrorNormReport(omega, h, norm_sq)
-
-
-def apply_quadrature(coeffs: OptimalCoefficients, samples: SampledFunction) -> complex:
-    """Quadrature sum approximating int_a^b e^{2 pi i omega x} phi(x) dx."""
-    if coeffs.grid != samples.grid:
-        raise ValueError("coefficient grid and sample grid differ")
-    return complex(np.dot(coeffs.values, samples.values))
+    (1 - interior(theta))/(2 pi omega)^2 with theta = 2 pi omega h, summed as
+    a series in theta below SMALL_THETA.  A scalar frequency gives a float,
+    1-d frequencies a float array.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got h={h}")
+    scalar = np.ndim(omegas) == 0
+    omegas = _frequencies(omegas)
+    theta = TWO_PI * omegas * h
+    series = h * h * np.polyval(_NORM_SERIES, theta * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (1.0 - _interior_factor(theta)) / (TWO_PI * omegas) ** 2
+    norm_sq = np.where(np.abs(theta) < SMALL_THETA, series, direct)
+    return float(norm_sq[0]) if scalar else norm_sq
 
 
 def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from oqf import io as oqfio
+from oqf import quadrature
 from oqf.cli import build_parser, main
 from oqf.ct import FbpConfig, default_num_bins, shepp_logan
 from oqf.ct.phantom import ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
-from oqf.quadrature import optimal_coefficients
+from oqf.quadrature import coefficient_matrix
 from oqf.transform import forward_transform
 
 
@@ -183,8 +184,29 @@ def test_cli_coeffs_matches_library(tmp_path):
     assert main(["coeffs", "--n", "8", "--omega", "1.3", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     vals = np.array([complex(float(r), float(i)) for _, r, i in rows])
-    expected = optimal_coefficients(UniformGrid(0.0, 1.0, 8), 1.3).values
+    expected = coefficient_matrix(UniformGrid(0.0, 1.0, 8), 1.3)
     np.testing.assert_array_equal(vals, expected)
+
+
+# `oqf coeffs --n 8 --omega 1.3`, byte for byte.
+COEFFS_N8_OMEGA13 = """\
+beta,re,im
+0,0.057255633862597882,0.020189588563760869
+1,0.059831973030218553,0.097636906133606371
+2,-0.051987027660370652,0.10203028663623032
+3,-0.11415826770300255,0.0089844505163679794
+4,-0.067308034390185137,-0.092641561637102784
+5,0.043821564977555669,-0.10579461649322865
+6,0.11310144399894417,-0.01791350890766958
+7,0.074369119335943604,0.087075051106661097
+8,0.0015084758776304453,0.060692269655273363
+"""
+
+
+def test_cli_coeffs_output_is_pinned(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--n", "8", "--omega", "1.3", "--out", str(out)]) == 0
+    assert out.read_bytes() == COEFFS_N8_OMEGA13.encode()
 
 
 def test_cli_coeffs_missing_out_is_validation_error(capsys):
@@ -331,6 +353,29 @@ def test_cli_verify_fast(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "name, level, failing",
+    [
+        ("coefficient_matrix", "fast",
+         ["coefficients_closed_vs_dense", "norm_bruteforce_vs_closed"]),
+        ("coefficient_matrix", "full",
+         ["coefficients_closed_vs_dense", "norm_bruteforce_vs_closed",
+          "transform_fast_vs_dense"]),
+        ("error_norm", "fast",
+         ["norm_bruteforce_vs_closed", "norm_trapezoid_value",
+          "norm_integer_omega_h_value"]),
+    ],
+)
+def test_cli_verify_fails_on_nan_closed_forms(monkeypatch, capsys, name, level, failing):
+    closed_form = getattr(quadrature, name)
+    monkeypatch.setattr(
+        quadrature, name, lambda *args: np.full_like(closed_form(*args), np.nan)
+    )
+    assert main(["verify", "--level", level]) == 5
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert json.loads(last) == {"failed_checks": failing}
 
 
 def test_cli_ft_non_finite_input_is_validation_error(tmp_path, capsys):

@@ -5,23 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqf import quadrature
-from oqf.grid import SampledFunction, UniformGrid
+from oqf import oracle, quadrature
+from oqf.grid import UniformGrid
 from oqf.quadrature import (
     SMALL_THETA,
-    apply_quadrature,
     apply_weights,
     coefficient_matrix,
-    cosine_coefficients,
     error_norm,
     monomial_fourier_integral,
-    optimal_coefficients,
-    sine_coefficients,
 )
 
 TWO_PI = 2.0 * math.pi
-# np.trapezoid is new in NumPy 2.0; np.trapz is its name before that.
-trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def test_grid_invariants():
@@ -36,53 +30,75 @@ def test_grid_invariants():
 
 
 def test_trapezoid_limit():
-    c = optimal_coefficients(UniformGrid(0.0, 1.0, 10), 0.0)
+    c = coefficient_matrix(UniformGrid(0.0, 1.0, 10), 0.0)
     expected = np.full(11, 0.1)
     expected[0] = expected[-1] = 0.05
-    np.testing.assert_allclose(c.values.real, expected, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(c.values.imag, 0.0)
+    np.testing.assert_allclose(c.real, expected, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(c.imag, 0.0)
 
 
 def test_integer_omega_h_kills_interior():
-    c = optimal_coefficients(UniformGrid(0.0, 1.0, 4), 4.0)
-    assert np.abs(c.values[1:-1]).max() == 0.0
+    c = coefficient_matrix(UniformGrid(0.0, 1.0, 4), 4.0)
+    assert np.abs(c[1:-1]).max() == 0.0
     # The general closed form gives +i/(2 pi omega) at the left endpoint;
     # the dense solve (see test_oracle) agrees with this sign.
-    assert c.values[0] == pytest.approx(1j / (TWO_PI * 4.0))
-    assert c.values[-1] == pytest.approx(-1j / (TWO_PI * 4.0))
-
-
-def test_cosine_sine_coefficients_match_real_imag_parts():
-    for n, om in [(2, 1.0), (8, 0.3), (13, 2.7), (5, 0.0)]:
-        g = UniformGrid(0.0, 1.0, n)
-        full = optimal_coefficients(g, om).values
-        np.testing.assert_allclose(cosine_coefficients(g, om), full.real, atol=1e-13)
-        np.testing.assert_allclose(sine_coefficients(g, om), full.imag, atol=1e-13)
+    assert c[0] == pytest.approx(1j / (TWO_PI * 4.0))
+    assert c[-1] == pytest.approx(-1j / (TWO_PI * 4.0))
 
 
 def test_cosine_closed_form_n2():
     # C_1^R at N=2, omega=1 on [0,1]: h*2(1-cos(pi))/pi^2 * cos(pi) = -2/pi^2
-    vals = cosine_coefficients(UniformGrid(0.0, 1.0, 2), 1.0)
+    vals = coefficient_matrix(UniformGrid(0.0, 1.0, 2), 1.0).real
     assert vals[1] == pytest.approx(-2.0 / math.pi**2, rel=1e-12)
 
 
 def test_sine_closed_form_n2():
     # C_0^I at N=2, omega=1 on [0,1]: h*(pi - sin(pi))/pi^2 = 1/(2 pi)
-    vals = sine_coefficients(UniformGrid(0.0, 1.0, 2), 1.0)
+    vals = coefficient_matrix(UniformGrid(0.0, 1.0, 2), 1.0).imag
     assert vals[0] == pytest.approx(1.0 / TWO_PI, rel=1e-12)
 
 
-def test_sine_coefficients_vanish_at_zero_frequency():
-    np.testing.assert_array_equal(sine_coefficients(UniformGrid(0.0, 1.0, 6), 0.0), 0.0)
+def test_weights_real_at_zero_frequency():
+    np.testing.assert_array_equal(coefficient_matrix(UniformGrid(0.0, 1.0, 6), 0.0).imag, 0.0)
 
 
 def test_error_norm_trapezoid_and_integer_cases():
-    assert error_norm(0.0, 0.1).norm_sq == pytest.approx(0.01 / 12.0, rel=1e-13)
-    assert error_norm(10.0, 0.1).norm_sq == pytest.approx(
+    assert error_norm(0.0, 0.1) == pytest.approx(0.01 / 12.0, rel=1e-13)
+    assert error_norm(10.0, 0.1) == pytest.approx(
         1.0 / (TWO_PI * 10.0) ** 2, rel=1e-13
     )
     with pytest.raises(ValueError):
         error_norm(1.0, 0.0)
+
+
+def test_error_norm_rejects_non_finite_frequency():
+    for omegas in (math.nan, math.inf, -math.inf, [0.0, math.nan]):
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            error_norm(omegas, 0.1)
+
+
+def test_error_norm_rejects_step_not_finite_and_positive():
+    for h in (math.inf, math.nan, 0.0, -0.1):
+        with pytest.raises(ValueError, match="step"):
+            error_norm(1.0, h)
+
+
+def test_error_norm_array_spans_both_branches():
+    n = 8
+    h = 1.0 / n
+    edge = SMALL_THETA / (TWO_PI * h)
+    omegas = np.concatenate(
+        [[0.0, edge, -edge, np.nextafter(edge, 0.0)], np.linspace(-5.0, 5.0, 21)]
+    )
+    theta = np.abs(TWO_PI * omegas * h)
+    assert (theta < SMALL_THETA).any() and (theta >= SMALL_THETA).any()
+    norm_sq = error_norm(omegas, h)
+    assert norm_sq.shape == omegas.shape
+    assert isinstance(error_norm(0.0, h), float)
+    weights = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
+    for om, c, value in zip(omegas, weights, norm_sq):
+        assert abs(oracle.error_norm_bruteforce(c.real, c.imag, om, n) - value) < 1e-9
+    assert norm_sq[0] == pytest.approx(h * h / 12.0, rel=1e-13)
 
 
 def test_error_norm_small_h_expansion():
@@ -91,7 +107,7 @@ def test_error_norm_small_h_expansion():
         om = 1.0
         expansion = h * h / 12.0 - math.pi**2 * om * om * h**4 / 90.0
         bound = 2.0 * math.pi**4 * om**4 * h**6 / 1260.0
-        assert abs(error_norm(om, h).norm_sq - expansion) < bound
+        assert abs(error_norm(om, h) - expansion) < bound
 
 
 def test_norm_positive_and_bounded_by_trapezoid_value():
@@ -99,11 +115,11 @@ def test_norm_positive_and_bounded_by_trapezoid_value():
     for _ in range(1000):
         om = rng.uniform(-50.0, 50.0)
         h = rng.uniform(1e-4, 1.0)
-        ns = error_norm(om, h).norm_sq
+        ns = error_norm(om, h)
         assert 0.0 <= ns <= h * h / 12.0 + 1e-18
 
 
-def test_apply_quadrature_exact_on_constants_and_linears():
+def test_weights_exact_on_constants_and_linears():
     rng = np.random.default_rng(11)
     for _ in range(100):
         a = rng.uniform(-5.0, 5.0)
@@ -111,20 +127,11 @@ def test_apply_quadrature_exact_on_constants_and_linears():
         n = int(rng.integers(1, 40))
         om = rng.uniform(-10.0, 10.0)
         g = UniformGrid(a, b, n)
-        coeffs = optimal_coefficients(g, om)
-        ones = SampledFunction(g, np.ones(n + 1))
-        xs = SampledFunction(g, g.nodes().astype(complex))
+        w = coefficient_matrix(g, om)
         g0 = monomial_fourier_integral(0, om, a, b)
         g1 = monomial_fourier_integral(1, om, a, b)
-        assert abs(apply_quadrature(coeffs, ones) - g0) < 1e-12 * abs(g0) + 1e-14
-        assert abs(apply_quadrature(coeffs, xs) - g1) < 1e-12 * abs(g1) + 1e-14
-
-
-def test_apply_quadrature_grid_mismatch():
-    c = optimal_coefficients(UniformGrid(0.0, 1.0, 4), 1.0)
-    s = SampledFunction(UniformGrid(0.0, 1.0, 5), np.ones(6))
-    with pytest.raises(ValueError):
-        apply_quadrature(c, s)
+        assert abs(w @ np.ones(n + 1) - g0) < 1e-12 * abs(g0) + 1e-14
+        assert abs(w @ g.nodes() - g1) < 1e-12 * abs(g1) + 1e-14
 
 
 def test_quadratic_error_ratio_order_h_squared():
@@ -132,10 +139,9 @@ def test_quadratic_error_ratio_order_h_squared():
         errors = {}
         for n in (20, 200):
             g = UniformGrid(-1.0, 1.0, n)
-            coeffs = optimal_coefficients(g, om)
-            sq = SampledFunction(g, (g.nodes() ** 2).astype(complex))
+            w = coefficient_matrix(g, om)
             exact = monomial_fourier_integral(2, om, -1.0, 1.0)
-            errors[n] = abs(apply_quadrature(coeffs, sq) - exact)
+            errors[n] = abs(w @ g.nodes() ** 2 - exact)
         if errors[200] > 1e-13:
             assert 50.0 <= errors[20] / errors[200] <= 200.0
 
@@ -178,7 +184,7 @@ def test_monomial_integral_against_quadrature_oracle():
                 cases.append((alpha, zl / (TWO_PI * (b - a)), a, b))
     for alpha, om, a, b in cases:
         xs = np.linspace(a, b, 400001)
-        numeric = trapezoid(np.exp(2j * math.pi * om * xs) * xs**alpha, xs)
+        numeric = np.trapezoid(np.exp(2j * math.pi * om * xs) * xs**alpha, xs)
         value = monomial_fourier_integral(alpha, om, a, b)
         assert abs(value - numeric) < 1e-9 * max(1.0, abs(numeric))
 
@@ -209,8 +215,8 @@ def test_monomial_conjugate_symmetry():
 @settings(max_examples=80, deadline=None)
 def test_conjugate_symmetry_of_coefficients(n, om):
     g = UniformGrid(-0.7, 1.3, n)
-    plus = optimal_coefficients(g, om).values
-    minus = optimal_coefficients(g, -om).values
+    plus = coefficient_matrix(g, om)
+    minus = coefficient_matrix(g, -om)
     np.testing.assert_allclose(minus, np.conj(plus), rtol=0, atol=1e-15)
 
 
@@ -220,15 +226,15 @@ def test_conjugate_symmetry_of_coefficients(n, om):
 )
 @settings(max_examples=80, deadline=None)
 def test_interior_moduli_identical(n, om):
-    c = optimal_coefficients(UniformGrid(0.0, 2.0, n), om).values
+    c = coefficient_matrix(UniformGrid(0.0, 2.0, n), om)
     mods = np.abs(c[1:-1])
     assert mods.max() - mods.min() <= 1e-16 + 1e-12 * mods.max()
 
 
 def test_zero_frequency_weights_sum_to_length():
     for a, b, n in [(0.0, 1.0, 5), (-3.0, 2.0, 17)]:
-        c = optimal_coefficients(UniformGrid(a, b, n), 0.0)
-        assert c.values.sum().real == pytest.approx(b - a, rel=1e-15)
+        c = coefficient_matrix(UniformGrid(a, b, n), 0.0)
+        assert c.sum().real == pytest.approx(b - a, rel=1e-15)
 
 
 def test_series_and_direct_branches_agree():
@@ -238,7 +244,7 @@ def test_series_and_direct_branches_agree():
     # both sides of the switch must satisfy exactness on constants
     for theta in thetas:
         om = theta / (TWO_PI * 0.1)
-        vals = optimal_coefficients(g, om).values
+        vals = coefficient_matrix(g, om)
         g0 = monomial_fourier_integral(0, om, 0.0, 1.0)
         assert abs(vals.sum() - g0) < 1e-13
 
@@ -250,18 +256,16 @@ def test_series_and_direct_branches_agree():
 )
 def test_continuity_at_zero_frequency_stated_bound():
     g = UniformGrid(0.0, 1.0, 100)
-    diff = np.abs(
-        optimal_coefficients(g, 1e-6).values - optimal_coefficients(g, 0.0).values
-    ).max()
+    diff = np.abs(coefficient_matrix(g, 1e-6) - coefficient_matrix(g, 0.0)).max()
     assert diff < 1e-8
 
 
 def test_continuity_at_zero_frequency_first_order_rate():
     g = UniformGrid(0.0, 1.0, 100)
-    zero = optimal_coefficients(g, 0.0).values
+    zero = coefficient_matrix(g, 0.0)
     prev = None
     for eps in (1e-4, 1e-5, 1e-6, 1e-7):
-        diff = np.abs(optimal_coefficients(g, eps).values - zero).max()
+        diff = np.abs(coefficient_matrix(g, eps) - zero).max()
         assert diff <= 2.0 * TWO_PI * eps * g.h  # first-order sensitivity bound
         if prev is not None:
             assert diff < prev
@@ -272,8 +276,11 @@ def test_coefficient_matrix_rows_match_single_calls():
     g = UniformGrid(-1.0, 1.0, 12)
     omegas = np.array([-3.3, 0.0, 0.2, 7.7])
     mat = coefficient_matrix(g, omegas)
+    assert mat.shape == (4, 13)
     for row, om in zip(mat, omegas):
-        np.testing.assert_array_equal(row, optimal_coefficients(g, om).values)
+        single = coefficient_matrix(g, float(om))
+        assert single.shape == (13,)
+        np.testing.assert_array_equal(row, single)
 
 
 def test_grid_rejects_non_finite_ends():
@@ -316,7 +323,7 @@ def test_series_branches_equal_numpy_polynomial_polyval():
     for omega in t / (TWO_PI * h):
         theta = TWO_PI * omega * h
         expected = h * h * float(polyval(theta * theta, quadrature._NORM_SERIES[::-1]))
-        assert error_norm(omega, h).norm_sq == expected
+        assert error_norm(omega, h) == expected
 
 
 def _dense_apply(grid, omegas, values, rows=256):
