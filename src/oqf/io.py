@@ -14,8 +14,7 @@ All writers go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import csv
-import math
+import contextlib
 import os
 import struct
 import tempfile
@@ -38,18 +37,22 @@ _HEADER_OFFSETS = {
 # read_complex_csv accepts an abscissa within this fraction of
 # max(step, max|x|) of the uniform lattice through the first and last rows.
 UNIFORM_RTOL = 1e-9
+# CSV writers format this many rows per block.
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 class FormatError(ValueError):
     """Malformed file content; the message names the byte offset."""
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str | Path):
+    """A binary file handle whose content replaces ``path`` only on success."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,34 +60,50 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
+def _write_csv(path: str | Path, header: str, row_format: str, columns) -> None:
+    """CSV of equal-length 1-d float columns, one ``row_format`` per row.
+
+    Rows are formatted _CSV_BLOCK_ROWS at a time, from Python floats, so a
+    float field formats exactly as in an f-string and no more than one
+    block's text is held at once.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with _atomic_file(path) as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+            text = row_format * len(block) % tuple(block.ravel().tolist())
+            fh.write(text.encode())
+
+
 def write_coefficients_csv(path: str | Path, values: np.ndarray) -> None:
     """CSV with header beta,re,im at 17 significant digits."""
-    lines = ["beta,re,im"]
-    for beta, v in enumerate(np.asarray(values, dtype=complex)):
-        lines.append(f"{beta},{v.real:.17g},{v.imag:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=complex)
+    _write_csv(path, "beta,re,im", "%d,%.17g,%.17g\n",
+               (np.arange(values.size), values.real, values.imag))
 
 
 def write_complex_csv(path: str | Path, abscissa_name: str, xs, values) -> None:
     """CSV with header <abscissa>,re,im using shortest round-trip floats."""
-    lines = [f"{abscissa_name},re,im"]
-    for x, v in zip(np.asarray(xs, dtype=float), np.asarray(values, dtype=complex)):
-        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=complex)
+    _write_csv(path, f"{abscissa_name},re,im", "%r,%r,%r\n", (xs, values.real, values.imag))
 
 
 def write_sweep_csv(path: str | Path, records) -> None:
     """CSV with header omega,abs_re_err,abs_im_err, one row per error record."""
-    lines = ["omega,abs_re_err,abs_im_err"]
-    for rec in records:
-        lines.append(
-            f"{float(rec.omega)!r},{float(rec.abs_real_error)!r},{float(rec.abs_imag_error)!r}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.array(
+        [(rec.omega, rec.abs_real_error, rec.abs_imag_error) for rec in records], dtype=float
+    ).reshape(-1, 3)
+    _write_csv(path, "omega,abs_re_err,abs_im_err", "%r,%r,%r\n", table.T)
 
 
 def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -92,29 +111,28 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (abscissae, complex values).  Raises FormatError naming the
     first offending row on non-uniform spacing, non-finite numbers or
-    malformed content.
+    malformed content.  Rows are parsed by one np.loadtxt call; empty lines
+    are skipped but counted in row numbers, and a number may be quoted.
     """
-    xs: list[float] = []
-    vals: list[complex] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 3:
+    with open(path) as fh:  # universal newlines: CRLF and CR end rows too
+        if len(fh.readline().rstrip("\n").split(",")) != 3:
             raise FormatError(f"{path}: missing or malformed header")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                x, re, im = (float(c) for c in row)
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {row_num}: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(re) and math.isfinite(im)):
-                raise FormatError(f"{path}: row {row_num}: non-finite number")
-            xs.append(x)
-            vals.append(complex(re, im))
-    if len(xs) < 2:
-        raise FormatError(f"{path}: need at least 2 data rows, got {len(xs)}")
-    xs_arr = np.asarray(xs)
+        body = fh.tell()
+        while (line := fh.readline()) == "\n":
+            pass
+        if not line:
+            raise FormatError(f"{path}: need at least 2 data rows, got 0")
+        fh.seek(body)
+        try:
+            table = _parse_rows(fh)
+        except ValueError:
+            table = None
+    if table is None or not np.isfinite(table).all():
+        row, reason = _first_bad_row(path)
+        raise FormatError(f"{path}: row {row}: {reason}")
+    if len(table) < 2:
+        raise FormatError(f"{path}: need at least 2 data rows, got {len(table)}")
+    xs_arr = table[:, 0].copy()
     step = (xs_arr[-1] - xs_arr[0]) / (len(xs_arr) - 1)
     if step <= 0:
         raise FormatError(f"{path}: abscissae must be increasing")
@@ -123,10 +141,47 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     bad = np.nonzero(dev > UNIFORM_RTOL * max(abs(step), np.abs(xs_arr).max()))[0]
     if bad.size:
         raise FormatError(
-            f"{path}: row {int(bad[0]) + 2}: abscissa {xs_arr[bad[0]]!r} "
+            f"{path}: row {int(bad[0]) + 2}: abscissa {float(xs_arr[bad[0]])!r} "
             f"off the uniform lattice"
         )
-    return xs_arr, np.asarray(vals, dtype=complex)
+    return xs_arr, table[:, 1:].copy().view(complex).ravel()
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """The (rows, 3) float table of CSV lines, of which one at least is not
+    empty; ValueError unless every non-empty line holds three numbers."""
+    table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    if table.shape[1] != 3:
+        raise ValueError(f"{table.shape[1]} cells per row")
+    return table
+
+
+def _first_bad_row(path: str | Path) -> tuple[int, str]:
+    """Row number and reason of the first data row that is not three finite
+    numbers, for a file known to hold one.
+
+    A run of rows parses to finite numbers exactly when it holds no bad row,
+    so bisection keeps the rows before ``lo`` good and the first bad row in
+    ``rows[lo:hi]``, parsing at most as many rows in all as the file has.
+    """
+    lines = Path(path).read_text().split("\n")
+    rows = [(num, line) for num, line in enumerate(lines[1:], start=2) if line]
+
+    def parses(first, last, finite=True):
+        try:
+            table = _parse_rows([line for _, line in rows[first:last]])
+        except ValueError:
+            return False
+        return not finite or np.isfinite(table).all()
+
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses(lo, mid) else (lo, mid)
+    num, line = rows[lo]
+    if parses(lo, hi, finite=False):
+        return num, "non-finite number"
+    return num, f"expected 3 numbers, got {line!r}"
 
 
 def _write_container(path: str | Path, magic: bytes, header: tuple, data: np.ndarray) -> None:

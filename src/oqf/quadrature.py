@@ -39,9 +39,20 @@ _NORM_SERIES = np.array(
 )
 
 
+# The closed forms square theta = 2 pi omega h and error_norm squares
+# 2 pi omega; frequencies beyond |2 pi omega max(h, 1)| = 2**511 would
+# overflow them, so they are rejected.
+_MAX_THETA = 2.0**511
+
 # The dense path builds at most this many weights at a time, so a long
 # non-uniform lattice never holds the whole M x (n+1) matrix.
 _DENSE_BLOCK_WEIGHTS = 1 << 20
+
+# The chirp-z path sums a uniform lattice in contiguous blocks of this many
+# frequencies, or of n + 1 when the grid has more nodes, so its working set is
+# O(_CHIRP_BLOCK + n) however long the lattice is and its time stays
+# O((M + n) log(M + n)).
+_CHIRP_BLOCK = 1 << 14
 
 # A lattice takes the chirp-z path when every entry lies within this many
 # ulps of max|omega| of the straight line through its centre entry with the
@@ -53,7 +64,10 @@ def _interior_factor(theta):
     """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = np.polyval(_INTERIOR_SERIES, theta * theta)
+    # Each series takes only the small entries: at |theta| above about 1e17
+    # its top power would overflow.
+    t = np.where(small, theta, 0.0)
+    series = np.polyval(_INTERIOR_SERIES, t * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = 2.0 * (1.0 - np.cos(theta)) / (theta * theta)
     return np.where(small, series, direct)
@@ -66,7 +80,7 @@ def _left_factor(theta):
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    series = np.polyval(_LEFT_SERIES, 1j * theta)
+    series = np.polyval(_LEFT_SERIES, 1j * np.where(small, theta, 0.0))
     theta_safe = np.where(small, 1.0, theta)
     direct = (1.0 + 1j * theta_safe - np.exp(1j * theta_safe)) / (theta_safe * theta_safe)
     return np.where(small, series, direct)
@@ -78,12 +92,17 @@ def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
     return w
 
 
-def _frequencies(omegas) -> np.ndarray:
+def _frequencies(omegas, h: float) -> np.ndarray:
+    """Frequencies as a 1-d float array, checked against _MAX_THETA at step h."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omegas.ndim != 1:
         raise ValueError(f"frequencies must be a scalar or 1-d, got shape {omegas.shape}")
-    if not np.isfinite(omegas).all():
-        raise ValueError("frequencies must be finite")
+    limit = _MAX_THETA / (TWO_PI * max(h, 1.0))
+    if not np.abs(omegas).max(initial=0.0) <= limit:  # also catches NaN
+        raise ValueError(
+            f"frequencies must be finite with |omega| <= {limit:.6g} "
+            f"(|2 pi omega max(h, 1)| <= 2**511) at h = {h:g}"
+        )
     return omegas
 
 
@@ -96,8 +115,8 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     omegas[k].
     """
     scalar = np.ndim(omegas) == 0
-    omegas = _frequencies(omegas)
     h = grid.h
+    omegas = _frequencies(omegas, h)
     theta = TWO_PI * omegas * h
 
     interior = _interior_factor(theta).astype(complex)
@@ -119,10 +138,11 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     ``values`` holds samples on the grid nodes, shape (n+1,) or (n+1, K);
     the result has shape (M,) or (M, K).  A frequency lattice that is
     uniform to rounding (at least 2 entries, increasing or decreasing) is
-    summed as one chirp-z transform in O((M+n) log(M+n)); any other
-    lattice builds the dense weights a block of rows at a time.
+    summed as chirp-z transforms of contiguous blocks (see _CHIRP_BLOCK) in
+    O((M+n) log(M+n)); any other lattice builds the dense weights a block
+    of rows at a time.
     """
-    omegas = _frequencies(omegas)
+    omegas = _frequencies(omegas, grid.h)
     values = np.asarray(values, dtype=complex)
     if values.ndim not in (1, 2) or values.shape[0] != grid.n + 1:
         raise ValueError(
@@ -133,7 +153,16 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     step = _lattice_step(omegas)
     if step is None:
         return _apply_dense(grid, omegas, values)
-    return _apply_chirp(grid, omegas, step, values)
+    # Every block keeps the whole lattice's step: a block near omega = 0 need
+    # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
+    length = max(_CHIRP_BLOCK, grid.n + 1)
+    if omegas.size <= length:  # one block: no copy into a separate result
+        return _apply_chirp(grid, omegas, step, values)
+    out = np.empty(omegas.shape + values.shape[1:], dtype=complex)
+    for start in range(0, omegas.size, length):
+        block = slice(start, start + length)
+        out[block] = _apply_chirp(grid, omegas[block], step, values)
+    return out
 
 
 def _lattice_step(omegas: np.ndarray) -> float | None:
@@ -142,9 +171,13 @@ def _lattice_step(omegas: np.ndarray) -> float | None:
     if m < 2:
         return None
     step = (omegas[-1] - omegas[0]) / (m - 1)
-    line = omegas[m // 2] + (np.arange(m) - m // 2) * step
+    # |omegas - line| in one temporary, which bounds a long lattice's working set
+    dev = np.arange(-(m // 2), m - m // 2, dtype=float)
+    dev *= step
+    dev += omegas[m // 2]
+    dev -= omegas
     tol = _UNIFORM_ULPS * np.spacing(np.abs(omegas).max())
-    return step if np.abs(omegas - line).max() <= tol else None
+    return step if np.abs(dev, out=dev).max() <= tol else None
 
 
 def _apply_dense(grid: UniformGrid, omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -208,10 +241,11 @@ def _apply_chirp(
                                  e^{i pi b p^2} e^{i pi b q^2} e^{-i pi b (p-q)^2}
 
     with b = step * h.  The per-row factors use the actual omega_k; the
-    convolution runs on the line omega_c + p * step, which the lattice may
-    miss by _UNIFORM_ULPS ulps, so an interior term's phase can be off by
-    2 pi * 4 ulp(max|omega|) * |x_j - x_c|: the same scale as the rounding
-    of omega * x in coefficient_matrix.
+    convolution runs on the line omega_c + p * step.  ``omegas`` is a block
+    of a lattice within _UNIFORM_ULPS ulps of its own line with this step, so
+    the block may miss its line by twice that, and an interior term's phase
+    can be off by 2 pi * 8 ulp(max|omega|) * |x_j - x_c|: the same scale as
+    the rounding of omega * x in coefficient_matrix.
     """
     m, n, h = omegas.size, grid.n, grid.h
     cols = values.reshape(n + 1, -1).T  # one row per column of values
@@ -263,12 +297,14 @@ def error_norm(omegas, h: float):
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step must be finite and positive, got h={h}")
     scalar = np.ndim(omegas) == 0
-    omegas = _frequencies(omegas)
+    omegas = _frequencies(omegas, h)
     theta = TWO_PI * omegas * h
-    series = h * h * np.polyval(_NORM_SERIES, theta * theta)
+    small = np.abs(theta) < SMALL_THETA
+    t = np.where(small, theta, 0.0)
+    series = h * h * np.polyval(_NORM_SERIES, t * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (1.0 - _interior_factor(theta)) / (TWO_PI * omegas) ** 2
-    norm_sq = np.where(np.abs(theta) < SMALL_THETA, series, direct)
+    norm_sq = np.where(small, series, direct)
     return float(norm_sq[0]) if scalar else norm_sq
 
 
@@ -292,7 +328,7 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
         raise ValueError(f"monomial degree must be nonnegative, got {alpha}")
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError(f"interval must be finite with end above start: a={a}, b={b}")
-    z = 2j * math.pi * _frequencies(omegas)
+    z = 2j * math.pi * _frequencies(omegas, b - a)
     out = np.empty(z.shape, dtype=complex)
     big = np.abs(z) * (b - a) > max(1.0, alpha)
 

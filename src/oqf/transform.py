@@ -27,7 +27,7 @@ class SpectrumSamples:
         values = np.asarray(self.values, dtype=complex)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise ValueError("frequency and value arrays must be 1-d and equal length")
-        if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
+        if not np.all(omegas[1:] > omegas[:-1]):
             raise ValueError("frequencies must be strictly increasing")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)

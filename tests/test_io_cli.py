@@ -1,17 +1,19 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oqf import io as oqfio
-from oqf import quadrature
+from oqf import quadrature, transform
 from oqf.cli import build_parser, main
 from oqf.ct import FbpConfig, default_num_bins, shepp_logan
 from oqf.ct.phantom import ImageGrid, Sinogram
@@ -59,6 +61,114 @@ def test_complex_csv_rejects_non_finite(tmp_path):
         path.write_text("x,re,im\n" + rows)
         with pytest.raises(oqfio.FormatError, match=f"row {bad_row}: non-finite"):
             oqfio.read_complex_csv(path)
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    return oqfio.read_complex_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "x,re,im\r\n0,1,0\r\n0.5,2,-3\r\n1,3,0\r\n",           # CRLF
+    "x,re,im\r0,1,0\r0.5,2,-3\r1,3,0\r",                   # CR
+    "x,re,im\n\n0,1,0\n\n0.5,2,-3\n1,3,0\n\n\n",           # blank lines
+    "x,re,im\n 0 ,1 , 0\n0.5\t,2,  -3\n1,3,0 \n",          # spaces around numbers
+    'x,re,im\n"0",1,"0"\n0.5,"2",-3\n1,3,0\n',             # quoted numbers
+    "x,re,im\n0.0,1.0,0.0\n0.5,2.0,-3.0\n1.0,3.0,0.0",     # no final newline
+])
+def test_complex_csv_accepted_layouts(tmp_path, text):
+    xs, values = _read_text(tmp_path, text)
+    np.testing.assert_array_equal(xs, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(values, [1.0, 2.0 - 3.0j, 3.0])
+
+
+@pytest.mark.parametrize("rows, bad_row, reason", [
+    ("0,1,0\n1,2\n2,3,0\n", 3, "expected 3 numbers, got '1,2'"),
+    ("0,1,0\n1,2,0,0\n2,3,0\n", 3, "expected 3 numbers"),
+    ("0,1\n1,2,0\n2,3,0\n", 2, "expected 3 numbers"),
+    ("0,1,0\n1,abc,0\n2,3,0\n", 3, "expected 3 numbers, got '1,abc,0'"),
+    ("0,1,0\n1,,0\n", 3, "expected 3 numbers"),
+    ("0,1,0\n   \n1,2,0\n", 3, "expected 3 numbers"),    # whitespace is not blank
+    ("0,1,0\n#1,2,0\n", 3, "expected 3 numbers"),        # no comment syntax
+    ("0,1_0,0\n1,2,0\n", 2, "expected 3 numbers"),       # no digit separators
+    ("nan,1,0\n1,2,0\n2,3,0\n", 2, "non-finite number"),
+    ("0,1,0\n1,inf,0\n2,3,0\n", 3, "non-finite number"),
+    ("0,1,0\n1,2,0\n2,3,-Infinity\n", 4, "non-finite number"),
+    ("0,1,0\n1,1e400,0\n", 3, "non-finite number"),
+    ("\n0,1,0\n\n1,nan,0\n2,abc,0\n", 5, "non-finite number"),  # blank lines count
+    ("0,1,0\n1,abc,0\n2,nan,0\n", 3, "expected 3 numbers"),     # first bad row wins
+    ("".join(f"{i},1,0\n" for i in range(999)) + "999,1\n", 1001, "expected 3 numbers"),
+])
+def test_complex_csv_names_first_bad_row(tmp_path, rows, bad_row, reason):
+    with pytest.raises(oqfio.FormatError, match=f"row {bad_row}: {reason}"):
+        _read_text(tmp_path, "x,re,im\n" + rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "missing or malformed header"),
+    ("\nx,re,im\n0,1,0\n1,2,0\n", "missing or malformed header"),
+    ("x,re,im,z\n0,1,0\n1,2,0\n", "missing or malformed header"),
+    ("x,re,im\n", "need at least 2 data rows, got 0"),
+    ("x,re,im", "need at least 2 data rows, got 0"),
+    ("x,re,im\n\n\n", "need at least 2 data rows, got 0"),
+    ("x,re,im\n0,1,0\n", "need at least 2 data rows, got 1"),
+    ("x,re,im\n1,1,0\n0,1,0\n", "abscissae must be increasing"),
+    # the lattice check counts data rows, not lines
+    ("x,re,im\n\n0,1,0\n\n0.1,1,0\n0.35,1,0\n", "row 3: abscissa 0.1 off the uniform lattice"),
+])
+def test_complex_csv_rejects_file(tmp_path, text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no loadtxt warning on an empty body
+        with pytest.raises(oqfio.FormatError, match=message):
+            _read_text(tmp_path, text)
+
+
+def test_complex_csv_read_keeps_signed_zeros(tmp_path):
+    xs, values = _read_text(tmp_path, "x,re,im\n-0.0,-0.0,0.0\n1.0,0.0,-0.0\n")
+    assert np.signbit(xs).tolist() == [True, False]
+    assert np.signbit(values.real).tolist() == [True, False]
+    assert np.signbit(values.imag).tolist() == [False, True]
+
+
+def _per_row_csv(header, row, *columns):
+    # The row-at-a-time writer the blocked writers replaced.
+    return "\n".join([header] + [row(*r) for r in zip(*columns)]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 6, 13])
+def test_csv_writers_match_per_row_formatting_across_blocks(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 5)
+    rng = np.random.default_rng(rows)
+    xs = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
+    values = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    values[: rows // 2] *= -0.0
+    path = tmp_path / "out.csv"
+
+    oqfio.write_complex_csv(path, "omega", xs, values)
+    assert path.read_text() == _per_row_csv(
+        "omega,re,im", lambda x, v: f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}",
+        xs, values)
+
+    oqfio.write_coefficients_csv(path, values)
+    assert path.read_text() == _per_row_csv(
+        "beta,re,im", lambda b, v: f"{b},{v.real:.17g},{v.imag:.17g}", range(rows), values)
+
+    records = [transform.QuadratureErrorRecord(2, float(x), -1.0, 1.0, 0.1, complex(v))
+               for x, v in zip(xs, values)]
+    oqfio.write_sweep_csv(path, records)
+    assert path.read_text() == _per_row_csv(
+        "omega,abs_re_err,abs_im_err",
+        lambda r: f"{float(r.omega)!r},{float(r.abs_real_error)!r},{float(r.abs_imag_error)!r}",
+        records)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_csv_write_failure_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        oqfio.write_complex_csv(path, "x", np.zeros(3), np.zeros(4))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sinogram_round_trip_bit_exact(tmp_path):
@@ -207,6 +317,83 @@ def test_cli_coeffs_output_is_pinned(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["coeffs", "--n", "8", "--omega", "1.3", "--out", str(out)]) == 0
     assert out.read_bytes() == COEFFS_N8_OMEGA13.encode()
+
+
+# `oqf coeffs --n 40000 --omega 0.37`: 40001 rows, so the output spans
+# several write blocks.  SHA-256 and length of the file.
+COEFFS_N40000_SHA256 = "a886bf968b13e268fd6e38845187ce853e474d12bca622e6077be490f6ce663d"
+COEFFS_N40000_BYTES = 2073097
+
+
+def test_cli_coeffs_long_output_is_pinned(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--n", "40000", "--omega", "0.37", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        COEFFS_N40000_SHA256, COEFFS_N40000_BYTES)
+
+
+# Inputs of the pinned ft and ift runs: 1 - x^2 + i x/2 on [-1, 1] and
+# 2^-|w| - i w/8 on [-3, 3].
+FT_INPUT = "x,re,im\n" + "".join(
+    f"{x},{1 - x * x},{x / 2}\n" for x in np.linspace(-1.0, 1.0, 9).tolist())
+IFT_INPUT = "omega,re,im\n" + "".join(
+    f"{w},{2 ** -abs(w)},{-w / 8}\n" for w in np.linspace(-3.0, 3.0, 7).tolist())
+
+# `oqf ft --omega-min -2 --omega-max 2 --omega-count 9` of FT_INPUT.
+FT_OUTPUT = """\
+omega,re,im
+-2.0,0.05424717563536324,4.799535401045213e-17
+-1.5,-0.06107165822022469,6.251152156823815e-18
+-1.0,0.05783375944955761,-4.799535401045212e-17
+-0.5,0.08697484838556038,-1.1132761425382294e-16
+0.0,1.3125,0.0
+0.5,0.7235946207531415,-4.991210727011894e-17
+1.0,-0.260476126734233,-6.040362033379313e-17
+1.5,0.15113493256896926,-7.314762946403305e-17
+2.0,-0.10490776745653209,4.799535401045213e-17
+"""
+
+# `oqf ift --x-min -1.5 --x-max 1.5 --x-count 7` of IFT_INPUT.
+IFT_OUTPUT = """\
+x,re,im
+-1.5,-0.06269060760555803,2.8821472692328382e-18
+-1.0,0.1193662073189215,0.0
+-0.5,-0.08675063917433634,1.1138124830304075e-16
+0.0,2.625,0.0
+0.5,0.39071419010134967,4.28315769430055e-17
+1.0,-0.1193662073189215,0.0
+1.5,0.09646433548633729,-9.989235488413592e-19
+"""
+
+# `oqf error-sweep --alpha 2 --n 20 --omega-min -3 --omega-max 3 --omega-count 7`.
+SWEEP_OUTPUT = """\
+omega,abs_re_err,abs_im_err
+-3.0,1.1622647289044608e-16,9.405269362936457e-18
+-2.0,1.6306400674181987e-16,7.524889173205756e-17
+-1.0,1.8041124150158794e-16,1.3646492204591222e-17
+0.0,0.0033333333333336324,0.0
+1.0,1.8041124150158794e-16,3.7500839472767774e-17
+2.0,1.6306400674181987e-16,7.062865537210885e-17
+3.0,1.6479873021779667e-16,2.211636045490859e-17
+"""
+
+
+@pytest.mark.parametrize("argv, stdin, expected", [
+    (["ft", "--omega-min", "-2", "--omega-max", "2", "--omega-count", "9"],
+     FT_INPUT, FT_OUTPUT),
+    (["ift", "--x-min", "-1.5", "--x-max", "1.5", "--x-count", "7"],
+     IFT_INPUT, IFT_OUTPUT),
+    (["error-sweep", "--alpha", "2", "--n", "20", "--omega-min", "-3",
+      "--omega-max", "3", "--omega-count", "7"], None, SWEEP_OUTPUT),
+], ids=["ft", "ift", "error-sweep"])
+def test_cli_csv_output_is_pinned(argv, stdin, expected, tmp_path):
+    out = tmp_path / "out.csv"
+    if stdin is not None:
+        (tmp_path / "in.csv").write_text(stdin)
+        argv = [*argv, "--input", str(tmp_path / "in.csv")]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
 
 
 def test_cli_coeffs_missing_out_is_validation_error(capsys):
@@ -385,6 +572,16 @@ def test_cli_ft_non_finite_input_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row 3" in err and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_ft_frequency_beyond_limit_is_validation_error(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text(FT_INPUT)
+    out = tmp_path / "o.csv"
+    assert main(["ft", "--input", str(src), "--out", str(out), "--omega", "1e160"]) == 3
+    err = capsys.readouterr().err
+    assert "|omega| <= " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_verify_full_includes_fast_vs_dense(capsys):

@@ -405,6 +405,104 @@ def test_apply_weights_dense_blocks_equal_whole_matrix(monkeypatch):
     np.testing.assert_array_equal(blocked, coefficient_matrix(grid, omegas) @ values)
 
 
+def _one_shot(grid, omegas, values, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_CHIRP_BLOCK", omegas.size)
+        return apply_weights(grid, omegas, values)
+
+
+@pytest.mark.parametrize("omegas, block, zero", [
+    (np.linspace(-30.0, 45.0, 64), 16, None),   # increasing, four full blocks
+    (np.linspace(45.0, -30.0, 64), 16, None),   # decreasing
+    (np.linspace(-12.0, 20.0, 33), 8, 12),      # final block of length 1
+    (np.linspace(-3.0, 4.0, 71), 10, 30),       # exact 0 in block 3 of 8
+])
+def test_apply_weights_chirp_blocks_match_one_shot(omegas, block, zero, monkeypatch):
+    rng = np.random.default_rng(omegas.size)
+    grid = UniformGrid(-0.7, 1.9, 6)
+    values = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    # Every block reuses the lattice's step; none may fall to the dense path.
+    monkeypatch.setattr(quadrature, "_apply_dense", None)
+    whole = _one_shot(grid, omegas, values, monkeypatch)
+    monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", block)
+    for vals, ref in ((values, whole), (values[:, 1], whole[:, 1])):
+        blocked = apply_weights(grid, omegas, vals)
+        assert blocked.shape == ref.shape
+        assert np.abs(blocked - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.nonzero(omegas == 0.0)[0].tolist() == ([] if zero is None else [zero])
+    if zero is not None:
+        # the exact-zero row keeps the trapezoid sum in a middle block too
+        assert zero // block not in (0, (omegas.size - 1) // block)
+        np.testing.assert_array_equal(
+            apply_weights(grid, omegas, values)[zero],
+            quadrature._trapezoid_weights(grid) @ values,
+        )
+
+
+def test_apply_weights_chirp_blocks_span_the_grid_when_it_is_longer(monkeypatch):
+    # With more nodes than the block length, blocks of n + 1 frequencies keep
+    # the time O((M + n) log(M + n)): here 23 = 11 + 11 + 1.
+    rng = np.random.default_rng(5)
+    grid = UniformGrid(0.0, 2.0, 10)
+    omegas = np.linspace(-7.0, 9.0, 23)
+    values = rng.normal(size=11) + 1j * rng.normal(size=11)
+    whole = _one_shot(grid, omegas, values, monkeypatch)
+    sizes = []
+    chirp = quadrature._apply_chirp
+    monkeypatch.setattr(quadrature, "_apply_chirp",
+                        lambda g, w, *rest: sizes.append(w.size) or chirp(g, w, *rest))
+    monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", 4)
+    blocked = apply_weights(grid, omegas, values)
+    assert sizes == [11, 11, 1]
+    assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_forward_transform_peak_memory_is_bounded():
+    # 2001 samples to 10^6 frequencies: the chirp-z blocks keep the traced
+    # peak within 4x the result's bytes (one-shot it was about 13x).
+    import tracemalloc
+
+    from oqf.grid import SampledFunction
+    from oqf.transform import forward_transform
+
+    grid = UniformGrid(-6.0, 6.0, 2000)
+    samples = SampledFunction(grid, np.exp(-math.pi * grid.nodes() ** 2))
+    omegas = np.linspace(-50.0, 50.0, 10**6)
+    tracemalloc.start()
+    try:
+        result = forward_transform(samples, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * result.values.nbytes
+
+
+@pytest.mark.parametrize("omega", [1e160, -1e160, 1e308, 2.0**511 / TWO_PI * 1.0000001])
+def test_frequencies_whose_theta_squared_overflows_are_rejected(omega):
+    grid = UniformGrid(0.0, 1.0, 4)
+    match = r"\|omega\| <= 1\.06\d*e\+153"
+    with pytest.raises(ValueError, match=match):
+        coefficient_matrix(grid, omega)
+    with pytest.raises(ValueError, match=match):
+        error_norm(omega, 0.1)
+    # dense (one frequency) and chirp-z (a uniform lattice) paths
+    for omegas in ([omega], [omega, 2.0 * omega]):
+        with pytest.raises(ValueError, match=match):
+            apply_weights(grid, omegas, np.ones(5))
+    with pytest.raises(ValueError, match=match):
+        monomial_fourier_integral(1, omega, 0.0, 1.0)
+
+
+def test_frequency_limit_is_finite_for_both_steps():
+    # Just inside the limit, theta^2 and (2 pi omega)^2 stay finite.
+    for h in (1e-3, 1.0, 250.0):
+        grid = UniformGrid(0.0, 4 * h, 4)
+        omega = 2.0**511 / (TWO_PI * max(h, 1.0))
+        assert np.isfinite(coefficient_matrix(grid, omega)).all()
+        assert np.isfinite(apply_weights(grid, [omega, -omega], np.ones(5))).all()
+        assert np.isfinite(error_norm(omega, h))
+
+
 def test_apply_weights_shape_validation():
     g = UniformGrid(0.0, 1.0, 4)
     for bad in (np.ones(4), np.ones((6, 2)), np.ones((5, 2, 2))):
