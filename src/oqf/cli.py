@@ -3,7 +3,8 @@
 Subcommands: coeffs, ft, ift, error-sweep, phantom, radon, fbp, metrics,
 verify.  Exit codes: 0 success, 2 usage, 3 input validation, 4 I/O,
 5 verification failure.  Parameter precedence: flags > config file >
-defaults; --dump-config prints the fully resolved parameters.  Every
+defaults; config values are typed and checked as flags are, and null means
+unset.  --dump-config prints the fully resolved parameters.  Every
 subcommand's flags, defaults and required arguments come from the one
 COMMANDS table.
 """
@@ -57,24 +58,43 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _config_value(path: str, key: str, value, type_, extra: dict):
+    """The config file's value for --key, typed and checked as argparse types
+    and checks the flag: from its string form; null means unset."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"config {path}: {key} must be a string or number")
+    try:
+        value = (type_ or str)(str(value))
+    except ValueError:
+        raise ValidationError(f"config {path}: {key}: invalid {type_.__name__} value "
+                              f"{str(value)!r}") from None
+    choices = extra.get("choices")
+    if choices is not None and value not in choices:
+        raise ValidationError(f"config {path}: {key}: {value!r} is not one of {list(choices)}")
+    return value
+
+
+def _resolve(args: argparse.Namespace, parameters: list) -> dict:
     """flags > config file > defaults."""
     config = _load_config(args.config)
-    resolved = dict(defaults)
-    resolved.update({k: v for k, v in config.items() if k in defaults})
-    for key in defaults:
+    resolved = {}
+    for key, type_, default, extra in parameters:
+        value = _config_value(args.config, key, config.get(key), type_, extra)
         flag = getattr(args, key)
         if flag is not None:
-            resolved[key] = flag
+            value = flag
+        resolved[key] = default if value is None else value
     return resolved
 
 
 def _lattice(params: dict, name: str) -> np.ndarray:
     """The lattice that --NAME-min, --NAME-max and --NAME-count describe."""
-    count = int(params[f"{name}_count"])
+    count = params[f"{name}_count"]
     if count < 2:
         raise ValidationError(f"{name} lattice needs at least 2 points")
-    return np.linspace(float(params[f"{name}_min"]), float(params[f"{name}_max"]), count)
+    return np.linspace(params[f"{name}_min"], params[f"{name}_max"], count)
 
 
 def _read_samples(path: str) -> SampledFunction:
@@ -83,20 +103,16 @@ def _read_samples(path: str) -> SampledFunction:
     return SampledFunction(UniformGrid(float(xs[0]), float(xs[-1]), len(xs) - 1), values)
 
 
-def _optional(cast, value):
-    return None if value is None else cast(value)
-
-
 def cmd_coeffs(params: dict) -> int:
-    grid = UniformGrid(float(params["a"]), float(params["b"]), int(params["n"]))
-    oqfio.write_coefficients_csv(params["out"], coefficient_matrix(grid, float(params["omega"])))
+    grid = UniformGrid(params["a"], params["b"], params["n"])
+    oqfio.write_coefficients_csv(params["out"], coefficient_matrix(grid, params["omega"]))
     return EXIT_OK
 
 
 def cmd_ft(params: dict) -> int:
     samples = _read_samples(params["input"])
     if params["omega"] is not None:
-        omegas = np.asarray([float(params["omega"])])
+        omegas = np.asarray([params["omega"]])
     else:
         omegas = _lattice(params, "omega")
     spectrum = transform.forward_transform(samples, omegas)
@@ -113,12 +129,12 @@ def cmd_ift(params: dict) -> int:
 
 def cmd_error_sweep(params: dict) -> int:
     records = transform.error_sweep(
-        int(params["alpha"]),
-        (float(params["a"]), float(params["b"])),
-        int(params["n"]),
-        float(params["omega_min"]),
-        float(params["omega_max"]),
-        int(params["omega_count"]),
+        params["alpha"],
+        (params["a"], params["b"]),
+        params["n"],
+        params["omega_min"],
+        params["omega_max"],
+        params["omega_count"],
     )
     oqfio.write_sweep_csv(params["out"], records)
     return EXIT_OK
@@ -132,17 +148,17 @@ def _write_image_outputs(params: dict, image) -> None:
 
 
 def cmd_phantom(params: dict) -> int:
-    _write_image_outputs(params, shepp_logan(int(params["size"]), params["variant"]))
+    _write_image_outputs(params, shepp_logan(params["size"], params["variant"]))
     return EXIT_OK
 
 
 def cmd_radon(params: dict) -> int:
-    step = float(params["angles_step_deg"])
+    step = params["angles_step_deg"]
     sino = radon_analytic(
         shepp_logan_phantom(params["variant"]),
         num_angles=FbpConfig(dtheta_deg=step).num_angles,
         dtheta_deg=step,
-        num_bins=int(params["num_bins"]),
+        num_bins=params["num_bins"],
     )
     oqfio.write_sinogram(params["out"], sino)
     return EXIT_OK
@@ -150,11 +166,11 @@ def cmd_radon(params: dict) -> int:
 
 def cmd_fbp(params: dict) -> int:
     config = FbpConfig(
-        size=int(params["size"]),
-        dtheta_deg=float(params["angles_step_deg"]),
-        num_bins=_optional(int, params["num_bins"]),
-        omega_band=_optional(float, params["band"]),
-        num_omega=_optional(int, params["num_omega"]),
+        size=params["size"],
+        dtheta_deg=params["angles_step_deg"],
+        num_bins=params["num_bins"],
+        omega_band=params["band"],
+        num_omega=params["num_omega"],
     )
     if params["sinogram"] is not None:
         source = oqfio.read_sinogram(params["sinogram"])
@@ -272,7 +288,7 @@ def _flag(key: str) -> str:
 def _dispatch(args: argparse.Namespace) -> int:
     """Resolve the subcommand's parameters, dump them if asked, check, run."""
     handler, _, required, parameters = COMMANDS[args.command]
-    params = _resolve(args, {key: default for key, _, default, _ in parameters})
+    params = _resolve(args, parameters)
     if args.dump_config:
         print(json.dumps(params, indent=2, sort_keys=True))
     if any(all(params[key] is None for key in group) for group in required):
@@ -303,6 +319,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ValidationError, ValueError, oqfio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -110,9 +110,10 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a <abscissa>,re,im CSV and validate uniform spacing.
 
     Returns (abscissae, complex values).  Raises FormatError naming the
-    first offending row on non-uniform spacing, non-finite numbers or
-    malformed content.  Rows are parsed by one np.loadtxt call; empty lines
-    are skipped but counted in row numbers, and a number may be quoted.
+    file line of the first offending row on non-uniform spacing, non-finite
+    numbers or malformed content.  Rows are parsed by one np.loadtxt call;
+    empty lines are skipped but counted in row numbers, and a number may be
+    quoted.
     """
     with open(path) as fh:  # universal newlines: CRLF and CR end rows too
         if len(fh.readline().rstrip("\n").split(",")) != 3:
@@ -140,9 +141,9 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     dev = np.abs(xs_arr - expected)
     bad = np.nonzero(dev > UNIFORM_RTOL * max(abs(step), np.abs(xs_arr).max()))[0]
     if bad.size:
+        row = _data_rows(path)[bad[0]][0]
         raise FormatError(
-            f"{path}: row {int(bad[0]) + 2}: abscissa {float(xs_arr[bad[0]])!r} "
-            f"off the uniform lattice"
+            f"{path}: row {row}: abscissa {float(xs_arr[bad[0]])!r} off the uniform lattice"
         )
     return xs_arr, table[:, 1:].copy().view(complex).ravel()
 
@@ -156,6 +157,12 @@ def _parse_rows(lines) -> np.ndarray:
     return table
 
 
+def _data_rows(path: str | Path) -> list[tuple[int, str]]:
+    """The file's non-empty data lines with their 1-based line numbers."""
+    lines = Path(path).read_text().split("\n")
+    return [(num, line) for num, line in enumerate(lines[1:], start=2) if line]
+
+
 def _first_bad_row(path: str | Path) -> tuple[int, str]:
     """Row number and reason of the first data row that is not three finite
     numbers, for a file known to hold one.
@@ -164,8 +171,7 @@ def _first_bad_row(path: str | Path) -> tuple[int, str]:
     so bisection keeps the rows before ``lo`` good and the first bad row in
     ``rows[lo:hi]``, parsing at most as many rows in all as the file has.
     """
-    lines = Path(path).read_text().split("\n")
-    rows = [(num, line) for num, line in enumerate(lines[1:], start=2) if line]
+    rows = _data_rows(path)
 
     def parses(first, last, finite=True):
         try:

@@ -60,17 +60,24 @@ _CHIRP_BLOCK = 1 << 14
 _UNIFORM_ULPS = 4
 
 
-def _interior_factor(theta):
-    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
+def _by_theta(theta, series, direct):
+    """series(t) where |theta| < SMALL_THETA, direct(theta) elsewhere.  Vectorized.
+
+    The series sees theta zeroed outside its range, where its top power would
+    overflow above about 1e17.  The direct form's 0/0 at theta = 0, and its
+    overflow where theta^2 underflows, only reach entries the series replaces.
+    """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    # Each series takes only the small entries: at |theta| above about 1e17
-    # its top power would overflow.
-    t = np.where(small, theta, 0.0)
-    series = np.polyval(_INTERIOR_SERIES, t * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = 2.0 * (1.0 - np.cos(theta)) / (theta * theta)
-    return np.where(small, series, direct)
+    near = series(np.where(small, theta, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(small, near, direct(theta))
+
+
+def _interior_factor(theta):
+    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
+    return _by_theta(theta, lambda t: np.polyval(_INTERIOR_SERIES, t * t),
+                     lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
 
 
 def _left_factor(theta):
@@ -78,12 +85,8 @@ def _left_factor(theta):
 
     Equals (e^z - 1 - z)/z^2 with z = i theta.
     """
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < SMALL_THETA
-    series = np.polyval(_LEFT_SERIES, 1j * np.where(small, theta, 0.0))
-    theta_safe = np.where(small, 1.0, theta)
-    direct = (1.0 + 1j * theta_safe - np.exp(1j * theta_safe)) / (theta_safe * theta_safe)
-    return np.where(small, series, direct)
+    return _by_theta(theta, lambda t: np.polyval(_LEFT_SERIES, 1j * t),
+                     lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
 
 
 def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
@@ -119,16 +122,13 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     omegas = _frequencies(omegas, h)
     theta = TWO_PI * omegas * h
 
-    interior = _interior_factor(theta).astype(complex)
-    left = _left_factor(theta)
-    right = np.conj(left)
-
+    # Every node takes h I(theta) e^{2 pi i omega x}; the end nodes then take
+    # h L(theta) e^{2 pi i omega a} and h conj(L(theta)) e^{2 pi i omega b}.
     phases = np.exp(2j * math.pi * np.outer(omegas, grid.nodes()))
-    factors = np.empty((omegas.size, grid.n + 1), dtype=complex)
-    factors[:, 1:-1] = interior[:, None] if grid.n > 1 else 0.0
-    factors[:, 0] = left
-    factors[:, -1] = right
-    weights = h * factors * phases
+    weights = (h * _interior_factor(theta))[:, None] * phases
+    left = _left_factor(theta)
+    weights[:, 0] = h * left * phases[:, 0]
+    weights[:, -1] = h * np.conj(left) * phases[:, -1]
     return weights[0] if scalar else weights
 
 
@@ -152,16 +152,21 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
         raise ValueError("samples must be finite")
     step = _lattice_step(omegas)
     if step is None:
-        return _apply_dense(grid, omegas, values)
-    # Every block keeps the whole lattice's step: a block near omega = 0 need
-    # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
-    length = max(_CHIRP_BLOCK, grid.n + 1)
+        length = max(1, _DENSE_BLOCK_WEIGHTS // (grid.n + 1))
+        def evaluate(block):
+            return coefficient_matrix(grid, block) @ values
+    else:
+        # Every block keeps the whole lattice's step: a block near omega = 0 need
+        # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
+        length = max(_CHIRP_BLOCK, grid.n + 1)
+        def evaluate(block):
+            return _apply_chirp(grid, block, step, values)
     if omegas.size <= length:  # one block: no copy into a separate result
-        return _apply_chirp(grid, omegas, step, values)
+        return evaluate(omegas)
     out = np.empty(omegas.shape + values.shape[1:], dtype=complex)
     for start in range(0, omegas.size, length):
         block = slice(start, start + length)
-        out[block] = _apply_chirp(grid, omegas[block], step, values)
+        out[block] = evaluate(omegas[block])
     return out
 
 
@@ -178,15 +183,6 @@ def _lattice_step(omegas: np.ndarray) -> float | None:
     dev -= omegas
     tol = _UNIFORM_ULPS * np.spacing(np.abs(omegas).max())
     return step if np.abs(dev, out=dev).max() <= tol else None
-
-
-def _apply_dense(grid: UniformGrid, omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
-    rows = max(1, _DENSE_BLOCK_WEIGHTS // (grid.n + 1))
-    out = np.empty(omegas.shape + values.shape[1:], dtype=complex)
-    for start in range(0, omegas.size, rows):
-        block = slice(start, start + rows)
-        out[block] = coefficient_matrix(grid, omegas[block]) @ values
-    return out
 
 
 def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
@@ -298,13 +294,11 @@ def error_norm(omegas, h: float):
         raise ValueError(f"step must be finite and positive, got h={h}")
     scalar = np.ndim(omegas) == 0
     omegas = _frequencies(omegas, h)
-    theta = TWO_PI * omegas * h
-    small = np.abs(theta) < SMALL_THETA
-    t = np.where(small, theta, 0.0)
-    series = h * h * np.polyval(_NORM_SERIES, t * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (1.0 - _interior_factor(theta)) / (TWO_PI * omegas) ** 2
-    norm_sq = np.where(small, series, direct)
+    norm_sq = _by_theta(
+        TWO_PI * omegas * h,
+        lambda t: h * h * np.polyval(_NORM_SERIES, t * t),
+        lambda t: (1.0 - _interior_factor(t)) / (TWO_PI * omegas) ** 2,
+    )
     return float(norm_sq[0]) if scalar else norm_sq
 
 

@@ -114,8 +114,8 @@ def test_complex_csv_names_first_bad_row(tmp_path, rows, bad_row, reason):
     ("x,re,im\n\n\n", "need at least 2 data rows, got 0"),
     ("x,re,im\n0,1,0\n", "need at least 2 data rows, got 1"),
     ("x,re,im\n1,1,0\n0,1,0\n", "abscissae must be increasing"),
-    # the lattice check counts data rows, not lines
-    ("x,re,im\n\n0,1,0\n\n0.1,1,0\n0.35,1,0\n", "row 3: abscissa 0.1 off the uniform lattice"),
+    # the lattice check names the file line, as the parse checks do
+    ("x,re,im\n\n0,1,0\n\n0.1,1,0\n0.35,1,0\n", "row 5: abscissa 0.1 off the uniform lattice"),
 ])
 def test_complex_csv_rejects_file(tmp_path, text, message):
     with warnings.catch_warnings():
@@ -534,6 +534,95 @@ def test_cli_invalid_config_is_validation_error(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 3
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    (["coeffs"], {"n": [1, 2]}, "n"),
+    (["phantom"], {"size": 16.9}, "size"),
+    (["phantom"], {"size": True}, "size"),
+    (["error-sweep"], {"alpha": 1.5}, "alpha"),
+    (["error-sweep"], {"alpha": 3}, "alpha"),
+    (["fbp"], {"band": {"max": 2.0}}, "band"),
+    (["metrics", "--test", "t.img", "--ref", "r.img"], {"mask": "all"}, "mask"),
+])
+def test_cli_config_value_is_typed_and_checked_as_its_flag(command, config, key, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: {key}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_config_number_for_a_path_is_its_string_form(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": 5}))
+    assert main(["coeffs", "--config", "cfg.json", "--n", "2"]) == 0
+    assert (tmp_path / "5").read_text().startswith("beta,re,im\n")
+    # {"input": 0} names the file "0", not standard input
+    (tmp_path / "cfg.json").write_text(json.dumps({"input": 0, "out": "f.csv"}))
+    assert main(["ft", "--config", "cfg.json"]) == 4
+    assert "'0'" in capsys.readouterr().err
+    (tmp_path / "0").write_text(FT_INPUT)
+    assert main(["ft", "--config", "cfg.json", "--omega-count", "3"]) == 0
+    assert len((tmp_path / "f.csv").read_text().splitlines()) == 4
+
+
+def test_cli_config_null_is_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"size": None, "variant": None}))
+    out = tmp_path / "p.img"
+    assert main(["phantom", "--config", str(cfg), "--out", str(out)]) == 0
+    assert oqfio.read_image(out).rows == FbpConfig().size
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("coeffs", ["--n", "4", "--omega", "2.5"]),
+    ("ft", ["--omega", "1.5", "--omega-count", "5"]),
+    ("ift", ["--x-min", "-2"]),
+    ("error-sweep", ["--alpha", "1", "--a", "-3"]),
+    ("phantom", ["--size", "64", "--variant", "classic"]),
+    ("radon", ["--num-bins", "101"]),
+    ("fbp", ["--band", "3.5", "--num-omega", "99"]),
+    ("metrics", ["--mask", "inner", "--test", "t.img"]),
+    ("verify", ["--level", "full"]),
+])
+def test_cli_dump_config_reads_back_as_config(command, flags, tmp_path, capsys, monkeypatch):
+    # Runs stop at the missing required flags, after the dump.
+    monkeypatch.setattr("oqf.verify.run_checks", lambda level: [])
+    main([command, *flags, "--dump-config"])
+    dumped = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumped)
+    main([command, "--config", str(cfg), "--dump-config"])
+    assert capsys.readouterr().out == dumped
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--size", "1000000", "--out", "p.img"],
+    ["coeffs", "--n", "1000000000", "--out", "c.csv"],
+    ["ft", "--input", "in.csv", "--out", "f.csv", "--omega-count", "100000000000"],
+])
+def test_cli_refused_allocation_is_validation_error(argv, tmp_path):
+    # Under a 2 GiB address-space limit numpy refuses these allocations
+    # however much memory the machine has.
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    (tmp_path / "in.csv").write_text(FT_INPUT)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "oqf.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
 
 
 def test_cli_verify_fast(capsys):

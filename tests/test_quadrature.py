@@ -289,6 +289,22 @@ def test_grid_rejects_non_finite_ends():
             UniformGrid(a, b, n)
 
 
+def test_single_interval_weights_are_the_end_node_rule():
+    # With n = 1 both nodes are end nodes: [h L e^{2 pi i omega a},
+    # conj(h L) e^{2 pi i omega b}], L = _left_factor(2 pi omega h).
+    grid = UniformGrid(-0.3, 1.1, 1)
+    h = grid.h
+    np.testing.assert_array_equal(coefficient_matrix(grid, 0.0), [h / 2, h / 2])
+    # 1e-160: theta^2 underflows and L's discarded direct form overflows, silently
+    for theta in (0.0, 1e-160, 0.5 * SMALL_THETA, SMALL_THETA, 3.0 * SMALL_THETA, -7.0):
+        omega = theta / (TWO_PI * h)
+        end = h * quadrature._left_factor(np.full(2, TWO_PI * omega * h))
+        end[1] = np.conj(end[1])
+        expected = end * np.exp(2j * math.pi * (omega * grid.nodes()))
+        np.testing.assert_array_equal(coefficient_matrix(grid, omega), expected)
+        np.testing.assert_array_equal(coefficient_matrix(grid, [omega, omega])[1], expected)
+
+
 def test_coefficient_matrix_rejects_non_finite_frequency():
     g = UniformGrid(0.0, 1.0, 4)
     for omegas in ([math.nan], [0.0, math.inf]):
@@ -422,7 +438,10 @@ def test_apply_weights_chirp_blocks_match_one_shot(omegas, block, zero, monkeypa
     grid = UniformGrid(-0.7, 1.9, 6)
     values = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
     # Every block reuses the lattice's step; none may fall to the dense path.
-    monkeypatch.setattr(quadrature, "_apply_dense", None)
+    def dense(*args):
+        pytest.fail("a block of a uniform lattice built dense weights")
+
+    monkeypatch.setattr(quadrature, "coefficient_matrix", dense)
     whole = _one_shot(grid, omegas, values, monkeypatch)
     monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", block)
     for vals, ref in ((values, whole), (values[:, 1], whole[:, 1])):
