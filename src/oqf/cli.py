@@ -77,15 +77,17 @@ def _config_value(path: str, key: str, value, type_, extra: dict):
 
 
 def _resolve(args: argparse.Namespace, parameters: list) -> dict:
-    """flags > config file > defaults."""
+    """flags > config file > defaults; a config key that names no parameter is an error."""
     config = _load_config(args.config)
     resolved = {}
     for key, type_, default, extra in parameters:
-        value = _config_value(args.config, key, config.get(key), type_, extra)
+        value = _config_value(args.config, key, config.pop(key, None), type_, extra)
         flag = getattr(args, key)
         if flag is not None:
             value = flag
         resolved[key] = default if value is None else value
+    if config:
+        raise ValidationError(f"config {args.config}: {next(iter(config))}: unknown key")
     return resolved
 
 

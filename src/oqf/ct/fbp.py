@@ -43,8 +43,8 @@ class FbpConfig:
     dtheta_deg: float = 0.5
     num_bins: int | None = None
     t_range: tuple[float, float] = (-1.0, 1.0)
-    omega_band: float | None = None  # default: detector Nyquist 1/(2 dt)
-    num_omega: int | None = None     # default: 4 * num_bins + 1
+    omega_band: float | None = None  # None: filter_projections' default
+    num_omega: int | None = None     # None: filter_projections' default
 
     def __post_init__(self):
         if not (math.isfinite(self.dtheta_deg) and self.dtheta_deg > 0):
@@ -52,14 +52,7 @@ class FbpConfig:
 
     def resolved(self) -> "FbpConfig":
         num_bins = self.num_bins if self.num_bins is not None else default_num_bins(self.size)
-        if num_bins < 2:
-            raise ValueError(f"need at least two detector bins, got {num_bins}")
-        dt = (self.t_range[1] - self.t_range[0]) / (num_bins - 1)
-        band = self.omega_band if self.omega_band is not None else 1.0 / (2.0 * dt)
-        num_omega = self.num_omega if self.num_omega is not None else 4 * num_bins + 1
-        return replace(
-            self, num_bins=num_bins, omega_band=band, num_omega=num_omega
-        )
+        return replace(self, num_bins=num_bins)
 
     @property
     def num_angles(self) -> int:
@@ -67,15 +60,18 @@ class FbpConfig:
 
 
 def filter_projections(
-    sino: Sinogram, omega_band: float, num_omega: int
+    sino: Sinogram, omega_band: float | None = None, num_omega: int | None = None
 ) -> FilteredSinogram:
     """Ramp-filter every projection through the optimal quadrature transforms.
 
     The forward transform runs over the detector interval; the band-limited
     inverse runs over [-omega_band, omega_band] and is evaluated back at the
-    detector bins.  Real input yields real output up to roundoff; the largest
-    imaginary residue is reported on the result.
+    detector bins.  Unset, omega_band is the detector Nyquist 1/(2 dt) and
+    num_omega is 4 num_bins + 1.  Real input yields real output up to
+    roundoff; the largest imaginary residue is reported on the result.
     """
+    omega_band = omega_band if omega_band is not None else 1.0 / (2.0 * sino.dt)
+    num_omega = num_omega if num_omega is not None else 4 * sino.num_bins + 1
     if omega_band <= 0:
         raise ValueError(f"band limit must be positive, got {omega_band}")
     if num_omega < 2:
@@ -201,10 +197,9 @@ def fbp_reconstruct(
     source: EllipsePhantom | Sinogram, config: FbpConfig
 ) -> ImageGrid:
     """Full pipeline: (exact Radon if needed) -> ramp filtering -> back-projection."""
-    cfg = config.resolved()
-    if isinstance(source, Sinogram):
-        sino = source
-    else:
+    sino = source
+    if not isinstance(source, Sinogram):
+        cfg = config.resolved()
         sino = radon_analytic(
             source,
             num_angles=cfg.num_angles,
@@ -212,5 +207,5 @@ def fbp_reconstruct(
             num_bins=cfg.num_bins,
             t_range=cfg.t_range,
         )
-    filtered = filter_projections(sino, cfg.omega_band, cfg.num_omega)
-    return backproject(filtered, cfg.size)
+    filtered = filter_projections(sino, config.omega_band, config.num_omega)
+    return backproject(filtered, config.size)

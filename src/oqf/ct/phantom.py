@@ -243,29 +243,27 @@ def ellipse_projection(e: Ellipse, theta: np.ndarray, t: np.ndarray) -> np.ndarr
 def radon_analytic(
     phantom: EllipsePhantom,
     num_angles: int,
-    dtheta_deg: float = 0.5,
-    num_bins: int = 729,
+    dtheta_deg: float,
+    num_bins: int,
     t_range: tuple[float, float] = (-1.0, 1.0),
     theta0_deg: float = 0.0,
 ) -> Sinogram:
     """Exact sinogram of an ellipse phantom (closed-form chord lengths)."""
-    if dtheta_deg <= 0:
-        raise ValueError(f"angle step must be positive, got {dtheta_deg}")
     if num_angles < 1 or num_bins < 2:
         raise ValueError("need at least one angle and two detector bins")
     t_min, t_max = t_range
-    dt = (t_max - t_min) / (num_bins - 1)
-    thetas = np.radians(theta0_deg + dtheta_deg * np.arange(num_angles))
-    ts = t_min + dt * np.arange(num_bins)
-    data = np.zeros((num_angles, num_bins))
-    for e in phantom.ellipses:
-        data += ellipse_projection(e, thetas[:, None], ts[None, :])
-    return Sinogram(
+    # Sinogram checks the rest of the lattice before any chord is computed.
+    sino = Sinogram(
         num_angles=num_angles,
         num_bins=num_bins,
         theta0=math.radians(theta0_deg),
         dtheta=math.radians(dtheta_deg),
         t0=t_min,
-        dt=dt,
-        data=data,
+        dt=(t_max - t_min) / (num_bins - 1),
+        data=np.zeros((num_angles, num_bins)),
     )
+    thetas = np.radians(theta0_deg + dtheta_deg * np.arange(num_angles))
+    ts = sino.bins()
+    for e in phantom.ellipses:
+        np.add(sino.data, ellipse_projection(e, thetas[:, None], ts[None, :]), out=sino.data)
+    return sino

@@ -196,7 +196,7 @@ def _write_container(path: str | Path, magic: bytes, header: tuple, data: np.nda
 
 
 def _read_container(path: str | Path, magic: bytes, check) -> tuple[tuple, np.ndarray]:
-    """Header fields and data of a binary container whose header passes ``check``."""
+    """Header fields and finite data of a binary container whose header passes ``check``."""
     raw = Path(path).read_bytes()
     if raw[:8] != magic:
         raise FormatError(f"{path}: bad magic at offset 0")
@@ -213,7 +213,11 @@ def _read_container(path: str | Path, magic: bytes, check) -> tuple[tuple, np.nd
     expected = header_size + 8 * shape[0] * shape[1]
     if len(raw) != expected:
         raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")
-    return header, np.frombuffer(raw[header_size:], dtype="<f8").reshape(shape).copy()
+    data = np.frombuffer(raw[header_size:], dtype="<f8").reshape(shape)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FormatError(f"{path}: non-finite value at offset {header_size + 8 * finite.argmin()}")
+    return header, data.copy()
 
 
 def write_sinogram(path: str | Path, sino: Sinogram) -> None:

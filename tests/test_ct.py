@@ -107,11 +107,11 @@ def test_projection_mass_conservation():
 def test_radon_validation():
     ph = unit_disk()
     with pytest.raises(ValueError):
-        radon_analytic(ph, num_angles=0)
+        radon_analytic(ph, num_angles=0, dtheta_deg=0.5, num_bins=729)
     with pytest.raises(ValueError):
-        radon_analytic(ph, num_angles=4, dtheta_deg=-1.0)
+        radon_analytic(ph, num_angles=4, dtheta_deg=-1.0, num_bins=729)
     with pytest.raises(ValueError):
-        radon_analytic(ph, num_angles=4, num_bins=1)
+        radon_analytic(ph, num_angles=4, dtheta_deg=0.5, num_bins=1)
 
 
 def test_default_num_bins_odd():

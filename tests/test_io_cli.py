@@ -15,7 +15,7 @@ import pytest
 from oqf import io as oqfio
 from oqf import quadrature, transform
 from oqf.cli import build_parser, main
-from oqf.ct import FbpConfig, default_num_bins, shepp_logan
+from oqf.ct import FbpConfig, backproject, default_num_bins, filter_projections, shepp_logan
 from oqf.ct.phantom import ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.quadrature import coefficient_matrix
@@ -224,6 +224,27 @@ def test_image_header_raster_rejected_with_offset(tmp_path, field, value, offset
     write_raw_image(path, **{field: value})
     with pytest.raises(oqfio.FormatError, match=f"offset {offset}: {field}"):
         oqfio.read_image(path)
+
+
+@pytest.mark.parametrize("kind, index, value", [
+    ("image", 4, math.nan), ("sinogram", 5, math.inf),
+])
+def test_cli_non_finite_container_value_is_validation_error(tmp_path, capsys, kind, index, value):
+    path = tmp_path / kind
+    if kind == "image":
+        write_raw_image(path)
+        argv = ["metrics", "--test", str(path), "--ref", str(path)]
+    else:
+        write_raw_sinogram(path)
+        argv = ["fbp", "--sinogram", str(path), "--size", "16", "--out", str(tmp_path / "r.img")]
+    offset = 48 + 8 * index
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(raw)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: non-finite value at offset {offset}\n"
+    assert captured.out == "" and not (tmp_path / "r.img").exists()
 
 
 @pytest.mark.parametrize("fields", [
@@ -475,6 +496,17 @@ def test_cli_radon_fbp_metrics_pipeline(tmp_path, capsys):
     assert psnrs[0] > 15.0
 
 
+def test_cli_fbp_filters_at_the_sinograms_own_band(tmp_path):
+    # --size 64 alone would imply 91 bins and 0.5 degree steps; the 729-bin,
+    # 6-degree sinogram is filtered at its own Nyquist band with 4 * 729 + 1
+    # frequencies all the same.
+    sino, recon = tmp_path / "s.sino", tmp_path / "r.img"
+    assert main(["radon", "--angles-step-deg", "6", "--num-bins", "729", "--out", str(sino)]) == 0
+    assert main(["fbp", "--sinogram", str(sino), "--size", "64", "--out", str(recon)]) == 0
+    expected = backproject(filter_projections(oqfio.read_sinogram(sino)), 64)
+    np.testing.assert_array_equal(oqfio.read_image(recon).pixels, expected.pixels)
+
+
 def test_cli_fbp_nan_dt_sinogram_is_validation_error(tmp_path, capsys):
     sino = tmp_path / "nan.sino"
     write_raw_sinogram(sino, dt=math.nan)
@@ -553,6 +585,22 @@ def test_cli_config_value_is_typed_and_checked_as_its_flag(command, config, key,
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {cfg}: {key}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    (["ft"], {"omega-count": 5, "omegacount": 7}, "omega-count"),
+    (["radon"], {"num_bins": 33, "size": 64}, "size"),
+])
+def test_cli_config_key_naming_no_parameter_is_validation_error(command, config, key, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out", str(out), "--dump-config"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config {cfg}: {key}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
 
 
