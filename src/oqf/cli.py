@@ -24,7 +24,6 @@ from .ct import (
     default_num_bins,
     fbp_reconstruct,
     image_metrics,
-    radon_analytic,
     shepp_logan,
     shepp_logan_phantom,
 )
@@ -155,13 +154,8 @@ def cmd_phantom(params: dict) -> int:
 
 
 def cmd_radon(params: dict) -> int:
-    step = params["angles_step_deg"]
-    sino = radon_analytic(
-        shepp_logan_phantom(params["variant"]),
-        num_angles=FbpConfig(dtheta_deg=step).num_angles,
-        dtheta_deg=step,
-        num_bins=params["num_bins"],
-    )
+    config = FbpConfig(dtheta_deg=params["angles_step_deg"], num_bins=params["num_bins"])
+    sino = config.scan(shepp_logan_phantom(params["variant"]))
     oqfio.write_sinogram(params["out"], sino)
     return EXIT_OK
 

@@ -42,13 +42,8 @@ class FbpConfig:
     size: int = 512
     dtheta_deg: float = 0.5
     num_bins: int | None = None
-    t_range: tuple[float, float] = (-1.0, 1.0)
     omega_band: float | None = None  # None: filter_projections' default
     num_omega: int | None = None     # None: filter_projections' default
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dtheta_deg) and self.dtheta_deg > 0):
-            raise ValueError(f"angle step must be finite and positive, got {self.dtheta_deg!r}")
 
     def resolved(self) -> "FbpConfig":
         num_bins = self.num_bins if self.num_bins is not None else default_num_bins(self.size)
@@ -56,7 +51,15 @@ class FbpConfig:
 
     @property
     def num_angles(self) -> int:
+        """Angles in the half rotation; ValueError unless the step is finite and positive."""
+        if not (math.isfinite(self.dtheta_deg) and self.dtheta_deg > 0):
+            raise ValueError(f"angle step must be finite and positive, got {self.dtheta_deg!r}")
         return int(round(180.0 / self.dtheta_deg))
+
+    def scan(self, phantom: EllipsePhantom) -> Sinogram:
+        """The phantom's exact sinogram on this config's projection lattice."""
+        cfg = self.resolved()
+        return radon_analytic(phantom, cfg.num_angles, cfg.dtheta_deg, cfg.num_bins)
 
 
 def filter_projections(
@@ -197,15 +200,6 @@ def fbp_reconstruct(
     source: EllipsePhantom | Sinogram, config: FbpConfig
 ) -> ImageGrid:
     """Full pipeline: (exact Radon if needed) -> ramp filtering -> back-projection."""
-    sino = source
-    if not isinstance(source, Sinogram):
-        cfg = config.resolved()
-        sino = radon_analytic(
-            source,
-            num_angles=cfg.num_angles,
-            dtheta_deg=cfg.dtheta_deg,
-            num_bins=cfg.num_bins,
-            t_range=cfg.t_range,
-        )
+    sino = source if isinstance(source, Sinogram) else config.scan(source)
     filtered = filter_projections(sino, config.omega_band, config.num_omega)
     return backproject(filtered, config.size)

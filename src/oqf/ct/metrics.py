@@ -14,7 +14,7 @@ from .phantom import ImageGrid, shepp_logan_phantom
 class QualityReport:
     e_max: float
     mse: float
-    psnr: float  # dB; math.inf when the images are identical on the region
+    psnr: float  # dB; inf when the images are identical on the region, -inf for peak 0
     region: str
 
 
@@ -42,7 +42,8 @@ def inner_region_mask(image: ImageGrid) -> np.ndarray:
 def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> QualityReport:
     """E_max, MSE and PSNR of `test` against `ref` over the chosen region.
 
-    PSNR uses the reference's maximum pixel value as peak.  region is
+    PSNR uses the reference's maximum pixel value as peak: inf where the
+    images agree, -inf where they do not and peak**2 / MSE is 0.  region is
     'whole' or 'inner' (inside the inner-skull ellipse).
     """
     if (test.rows, test.cols) != (ref.rows, ref.cols):
@@ -60,5 +61,6 @@ def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> Qua
     e_max = float(diff.max())
     mse = float(np.mean(diff * diff))
     peak = float(ref.pixels.max())
-    psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
+    ratio = math.inf if mse == 0.0 else peak * peak / mse
+    psnr = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
     return QualityReport(e_max=e_max, mse=mse, psnr=psnr, region=region)

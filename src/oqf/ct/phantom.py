@@ -262,8 +262,7 @@ def radon_analytic(
         dt=(t_max - t_min) / (num_bins - 1),
         data=np.zeros((num_angles, num_bins)),
     )
-    thetas = np.radians(theta0_deg + dtheta_deg * np.arange(num_angles))
-    ts = sino.bins()
+    thetas, ts = sino.angles(), sino.bins()
     for e in phantom.ellipses:
         np.add(sino.data, ellipse_projection(e, thetas[:, None], ts[None, :]), out=sino.data)
     return sino

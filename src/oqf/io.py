@@ -190,7 +190,15 @@ def _first_bad_row(path: str | Path) -> tuple[int, str]:
     return num, f"expected 3 numbers, got {line!r}"
 
 
+def _check_finite(path: str | Path, data: np.ndarray) -> None:
+    """ValueError naming the first non-finite value's index, before ``path`` is touched."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value at index {tuple(bad[0].tolist())}, not written")
+
+
 def _write_container(path: str | Path, magic: bytes, header: tuple, data: np.ndarray) -> None:
+    _check_finite(path, data)
     payload = magic + _HEADER.pack(*header) + np.ascontiguousarray(data, dtype="<f8").tobytes()
     atomic_write_bytes(path, payload)
 
@@ -240,6 +248,7 @@ def read_image(path: str | Path) -> ImageGrid:
 
 def write_pgm16(path: str | Path, image: ImageGrid) -> None:
     """16-bit binary PGM with linear min-max scaling; sidecar records the scale."""
+    _check_finite(path, image.pixels)
     lo = float(image.pixels.min())
     hi = float(image.pixels.max())
     span = hi - lo

@@ -181,7 +181,7 @@ def test_fbp_psnr_pinned_to_dense_route_full_scale():
     cfg = FbpConfig(size=512, dtheta_deg=0.5).resolved()
     sino = radon_analytic(
         shepp_logan_phantom(), num_angles=cfg.num_angles, dtheta_deg=cfg.dtheta_deg,
-        num_bins=cfg.num_bins, t_range=cfg.t_range,
+        num_bins=cfg.num_bins,
     )
     filtered = filter_projections(sino, cfg.omega_band, cfg.num_omega)
     assert filtered.max_imag <= 1e-10
@@ -356,6 +356,77 @@ def test_fbp_accepts_precomputed_sinogram():
     np.testing.assert_array_equal(a.pixels, b.pixels)
 
 
+def test_config_scan_is_the_radon_call_on_resolved_fields():
+    ph = unit_disk()
+    cfg = FbpConfig(size=32, dtheta_deg=6.0)
+    resolved = cfg.resolved()
+    sino = cfg.scan(ph)
+    expected = radon_analytic(
+        ph, num_angles=resolved.num_angles, dtheta_deg=resolved.dtheta_deg,
+        num_bins=resolved.num_bins,
+    )
+    assert sino.geometry() == expected.geometry()
+    np.testing.assert_array_equal(sino.data, expected.data)
+    np.testing.assert_array_equal(fbp_reconstruct(ph, cfg).pixels,
+                                  fbp_reconstruct(cfg.scan(ph), cfg).pixels)
+
+
+@pytest.mark.parametrize("dtheta_deg", [0.0, -3.0, math.nan, math.inf])
+def test_config_step_is_checked_only_where_a_lattice_is_built(dtheta_deg):
+    cfg = FbpConfig(size=32, dtheta_deg=dtheta_deg)
+    with pytest.raises(ValueError, match="angle step"):
+        cfg.num_angles
+    with pytest.raises(ValueError, match="angle step"):
+        cfg.scan(unit_disk())
+    # A given sinogram replaces the config's lattice, so its step is never read.
+    sino = FbpConfig(size=32, dtheta_deg=6.0).scan(unit_disk())
+    np.testing.assert_array_equal(
+        fbp_reconstruct(sino, cfg).pixels,
+        fbp_reconstruct(sino, FbpConfig(size=32, dtheta_deg=6.0)).pixels,
+    )
+
+
+def ellipse_sum(ph, thetas, ts):
+    """Chord sums at angles x bins, added ellipse by ellipse as radon_analytic adds."""
+    data = np.zeros((len(thetas), len(ts)))
+    for e in ph.ellipses:
+        np.add(data, ellipse_projection(e, thetas[:, None], ts[None, :]), out=data)
+    return data
+
+
+def degree_lattice(dtheta_deg, num_angles):
+    """radians(k * dtheta_deg), which may round differently from the header
+    lattice k * radians(dtheta_deg) that radon_analytic projects at."""
+    return np.radians(dtheta_deg * np.arange(num_angles))
+
+
+@pytest.mark.parametrize("dtheta_deg", [4.0, 3.0, 7.0, 0.7])
+def test_radon_angles_are_the_header_lattice(dtheta_deg):
+    ph = shepp_logan_phantom()
+    num_angles = int(round(180.0 / dtheta_deg))
+    sino = radon_analytic(ph, num_angles=num_angles, dtheta_deg=dtheta_deg, num_bins=183)
+    np.testing.assert_array_equal(sino.data, ellipse_sum(ph, sino.angles(), sino.bins()))
+    # The two angle lattices differ by at most one ulp.
+    assert np.abs(sino.angles() - degree_lattice(dtheta_deg, num_angles)).max() <= 4.5e-16
+
+
+@pytest.mark.parametrize("num_bins", [183, 729])
+@pytest.mark.parametrize("dtheta_deg, bound", [
+    (4.0, 0.0), (0.5, 0.0), (3.0, 1e-12), (7.0, 1e-12), (0.7, 1e-12),
+])
+def test_radon_header_angles_stay_near_the_degree_lattice(dtheta_deg, bound, num_bins):
+    # Power-of-two steps give both lattices bit for bit.  Elsewhere a
+    # one-ulp angle shift moves a chord by up to the square root of a
+    # one-ulp offset where a detector bin lies next to an ellipse's tangent
+    # line, so the agreement depends on the bin lattice: measured at most
+    # 1.6e-13 of the peak here (at 3 degrees and 729 bins).
+    ph = shepp_logan_phantom()
+    num_angles = int(round(180.0 / dtheta_deg))
+    sino = radon_analytic(ph, num_angles=num_angles, dtheta_deg=dtheta_deg, num_bins=num_bins)
+    reference = ellipse_sum(ph, degree_lattice(dtheta_deg, num_angles), sino.bins())
+    assert np.abs(sino.data - reference).max() <= bound * np.abs(reference).max()
+
+
 def test_fbp_filters_a_filtered_sinogram_again():
     cfg = FbpConfig(size=32, dtheta_deg=6.0).resolved()
     sino = radon_analytic(
@@ -373,6 +444,16 @@ def test_metrics_identical_images():
     img = shepp_logan(64)
     rep = image_metrics(img, img)
     assert rep.e_max == 0.0 and rep.mse == 0.0 and rep.psnr == math.inf
+
+
+def test_metrics_zero_reference_psnr_is_minus_inf():
+    zero = ImageGrid(16, 16, np.zeros((16, 16)))
+    rep = image_metrics(shepp_logan(16), zero)
+    assert rep.mse > 0.0 and rep.psnr == -math.inf
+    assert image_metrics(zero, zero).psnr == math.inf
+    # peak**2 / MSE underflowing to 0 reads the same as a zero peak.
+    tiny = ImageGrid(16, 16, np.full((16, 16), 1e-170))
+    assert image_metrics(ImageGrid(16, 16, np.full((16, 16), 1e10)), tiny).psnr == -math.inf
 
 
 def test_metrics_constant_offset():

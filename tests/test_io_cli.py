@@ -297,6 +297,22 @@ def test_pgm16_constant_image(tmp_path):
     assert values.max() == 0
 
 
+@pytest.mark.parametrize("writer, value, index", [
+    ("image", math.nan, (1, 0)), ("sinogram", math.inf, (0, 2)), ("pgm16", -math.inf, (0, 1)),
+])
+def test_writers_refuse_non_finite_data_before_creating_a_file(tmp_path, writer, value, index):
+    data = np.zeros((2, 3))
+    data[1, 2] = math.nan  # a later bad value, not the one named
+    data[index] = value
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"non-finite value at index \({index[0]}, {index[1]}\)"):
+        if writer == "sinogram":
+            oqfio.write_sinogram(path, Sinogram(2, 3, 0.0, 0.1, -1.0, 1.0, data))
+        else:
+            getattr(oqfio, f"write_{writer}")(path, ImageGrid(2, 3, data))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -478,6 +494,15 @@ def test_cli_phantom_and_metrics_flow(tmp_path, capsys):
     assert "psnr=inf" in out and "e_max=0.0" in out
 
 
+def test_cli_metrics_zero_reference_reports_minus_inf(tmp_path, capsys):
+    test, zero = tmp_path / "t.img", tmp_path / "zero.img"
+    assert main(["phantom", "--size", "16", "--out", str(test)]) == 0
+    oqfio.write_image(zero, ImageGrid(16, 16, np.zeros((16, 16))))
+    assert main(["metrics", "--test", str(test), "--ref", str(zero)]) == 0
+    captured = capsys.readouterr()
+    assert "psnr=-inf\n" in captured.out and captured.err == ""
+
+
 def test_cli_radon_fbp_metrics_pipeline(tmp_path, capsys):
     sino = tmp_path / "s.sino"
     recon = tmp_path / "r.img"
@@ -516,12 +541,30 @@ def test_cli_fbp_nan_dt_sinogram_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "r.img").exists()
 
 
+@pytest.mark.parametrize("unused_step", [
+    ["--angles-step-deg", "0"], ["--angles-step-deg", "nan"], ["--config", "step.json"],
+])
+def test_cli_fbp_sinogram_ignores_the_scan_step_it_replaces(tmp_path, unused_step):
+    # The sinogram's own lattice replaces --angles-step-deg, so a step no
+    # scan could use is neither read nor checked.
+    sino, plain, flagged = tmp_path / "s.sino", tmp_path / "a.img", tmp_path / "b.img"
+    (tmp_path / "step.json").write_text(json.dumps({"angles_step_deg": 0}))
+    unused_step = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in unused_step]
+    assert main(["radon", "--angles-step-deg", "6", "--num-bins", "93", "--out", str(sino)]) == 0
+    base = ["fbp", "--sinogram", str(sino), "--size", "32", "--out"]
+    assert main(base + [str(plain)]) == 0
+    assert main(base + [str(flagged)] + unused_step) == 0
+    np.testing.assert_array_equal(oqfio.read_image(flagged).pixels,
+                                  oqfio.read_image(plain).pixels)
+
+
 @pytest.mark.parametrize("argv", [
     ["fbp", "--num-bins", "1", "--size", "32"],
     ["fbp", "--size", "1"],
     ["fbp", "--angles-step-deg", "0", "--size", "32"],
     ["radon", "--angles-step-deg", "0"],
     ["radon", "--angles-step-deg", "-3"],
+    ["radon", "--angles-step-deg", "nan"],
 ])
 def test_cli_degenerate_scan_is_validation_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
