@@ -40,7 +40,7 @@ class FbpConfig:
     """Geometry and band parameters of one reconstruction run."""
 
     size: int = 512
-    dtheta_deg: float = 0.5
+    dtheta_deg: float = 0.5          # scanned at 180/num_angles degrees
     num_bins: int | None = None
     omega_band: float | None = None  # None: filter_projections' default
     num_omega: int | None = None     # None: filter_projections' default
@@ -51,15 +51,20 @@ class FbpConfig:
 
     @property
     def num_angles(self) -> int:
-        """Angles in the half rotation; ValueError unless the step is finite and positive."""
-        if not (math.isfinite(self.dtheta_deg) and self.dtheta_deg > 0):
-            raise ValueError(f"angle step must be finite and positive, got {self.dtheta_deg!r}")
-        return int(round(180.0 / self.dtheta_deg))
+        """180/dtheta_deg rounded; ValueError unless that is a finite count of at least 1."""
+        step = self.dtheta_deg
+        count = 180.0 / step if math.isfinite(step) and step > 0 else math.nan
+        if not (math.isfinite(count) and round(count) >= 1):
+            raise ValueError(f"angle step must be finite and positive and leave at least "
+                             f"one angle in 180 degrees, got {step!r}")
+        return round(count)
 
     def scan(self, phantom: EllipsePhantom) -> Sinogram:
-        """The phantom's exact sinogram on this config's projection lattice."""
+        """The phantom's exact sinogram at num_angles steps of 180/num_angles degrees,
+        so the angles span the half rotation whether or not dtheta_deg divides 180."""
         cfg = self.resolved()
-        return radon_analytic(phantom, cfg.num_angles, cfg.dtheta_deg, cfg.num_bins)
+        num_angles = cfg.num_angles
+        return radon_analytic(phantom, num_angles, 180.0 / num_angles, cfg.num_bins)
 
 
 def filter_projections(

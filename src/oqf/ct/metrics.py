@@ -44,18 +44,21 @@ def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> Qua
 
     PSNR uses the reference's maximum pixel value as peak: inf where the
     images agree, -inf where they do not and peak**2 / MSE is 0.  region is
-    'whole' or 'inner' (inside the inner-skull ellipse).
+    'whole' or 'inner' (inside the inner-skull ellipse).  ValueError unless
+    both rasters share size and extent and the region holds a pixel.
     """
-    if (test.rows, test.cols) != (ref.rows, ref.cols):
-        raise ValueError(
-            f"image sizes differ: {test.rows}x{test.cols} vs {ref.rows}x{ref.cols}"
-        )
+    rasters = [(img.rows, img.cols, tuple(img.extent)) for img in (test, ref)]
+    if rasters[0] != rasters[1]:
+        raise ValueError("image rasters differ in size or extent: "
+                         + " vs ".join("{}x{} over {}".format(*r) for r in rasters))
     if region == "whole":
         mask = np.ones((ref.rows, ref.cols), dtype=bool)
     elif region == "inner":
         mask = inner_region_mask(ref)
     else:
         raise ValueError(f"unknown region {region!r}")
+    if not mask.any():
+        raise ValueError(f"region {region!r} holds no pixel of the raster over {ref.extent}")
 
     diff = np.abs(test.pixels - ref.pixels)[mask]
     e_max = float(diff.max())

@@ -29,10 +29,10 @@ class CoefficientSystemSolution:
     """Solution of the dense (N+2) x (N+2) minimization system on [0,1]."""
 
     coefficients: np.ndarray = field(repr=False)
-    p0: complex
+    p0: complex | np.ndarray
     residual: float
     condition: float
-    moment_residual: float
+    moment_residual: float | np.ndarray
 
 
 def _kernel(x):
@@ -40,57 +40,65 @@ def _kernel(x):
     return np.abs(x) / 2.0
 
 
-def _rhs_value(t: float, omega: float) -> complex:
-    """int_0^1 e^{2 pi i omega x} |x - t|/2 dx for t in [0,1]."""
-    if omega == 0.0:
-        return complex(t * t / 2.0 - t / 2.0 + 0.25)
-    z = 2j * math.pi * omega
+def _kernel_integral(t: np.ndarray, omega) -> np.ndarray:
+    """int_0^1 e^{2 pi i omega x} |x - t|/2 dx, shape omega.shape + t.shape.
+
+    Exact omega = 0 entries take the row t^2/2 - t/2 + 1/4.
+    """
+    omega = np.asarray(omega, dtype=float)[..., None]
+    zero = omega == 0.0
+    z = 2j * math.pi * np.where(zero, 1.0, omega)
     ez = np.exp(z)
-    return complex(
-        -t / (2.0 * z) * (ez + 1.0)
-        + (2.0 * np.exp(z * t) + (z - 1.0) * ez - 1.0) / (2.0 * z * z)
-    )
+    value = -t / (2.0 * z) * (ez + 1.0) + (
+        2.0 * np.exp(z * t) + (z - 1.0) * ez - 1.0
+    ) / (2.0 * z * z)
+    return np.where(zero, t * t / 2.0 - t / 2.0 + 0.25, value)
 
 
-def _constant_moment(omega: float) -> complex:
-    """int_0^1 e^{2 pi i omega x} dx."""
-    if omega == 0.0:
-        return 1.0 + 0.0j
-    z = 2j * math.pi * omega
-    return complex((np.exp(z) - 1.0) / z)
-
-
-def linear_moment(omega: float) -> complex:
-    """int_0^1 e^{2 pi i omega x} x dx."""
-    if omega == 0.0:
-        return 0.5 + 0.0j
-    z = 2j * math.pi * omega
+def _moments(omega) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 e^{2 pi i omega x} dx and int_0^1 e^{2 pi i omega x} x dx, shaped as omega."""
+    omega = np.asarray(omega, dtype=float)
+    zero = omega == 0.0
+    z = 2j * math.pi * np.where(zero, 1.0, omega)
     ez = np.exp(z)
-    return complex(ez / z - (ez - 1.0) / (z * z))
+    constant = np.where(zero, 1.0, (ez - 1.0) / z)
+    linear = np.where(zero, 0.5, ez / z - (ez - 1.0) / (z * z))
+    return constant, linear
 
 
-def solve_coefficient_system(n: int, omega: float) -> CoefficientSystemSolution:
+def linear_moment(omega):
+    """int_0^1 e^{2 pi i omega x} x dx: a complex for scalar omega, an array for 1-d."""
+    return _moments(omega)[1][()]
+
+
+def solve_coefficient_system(n: int, omega) -> CoefficientSystemSolution:
     """Solve the dense stationarity system for the optimal weights on [0,1].
 
     Unknowns are the n+1 weights and the Lagrange multiplier of the
     constant-exactness constraint.  Also reports the residual of the
     first-moment identity the solution must satisfy (exactness on x).
+
+    The matrix does not depend on the frequency, so one factorisation
+    serves every entry of a 1-d omega: coefficients then have shape
+    (M, n+1), p0 and moment_residual shape (M,), and residual is the
+    largest over all right-hand sides.  A scalar omega gives one row.
     """
     if n < 1:
         raise ValueError(f"need at least one subinterval, got n={n}")
-    omega = float(omega)
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim > 1:
+        raise ValueError(f"frequencies must be a scalar or 1-d, got shape {omega.shape}")
+    omegas = np.atleast_1d(omega)
     h = 1.0 / n
     nodes = h * np.arange(n + 1)
 
     size = n + 2
     mat = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
     mat[: n + 1, : n + 1] = _kernel(nodes[:, None] - nodes[None, :])
     mat[: n + 1, n + 1] = 1.0
     mat[n + 1, : n + 1] = 1.0
-    for beta in range(n + 1):
-        rhs[beta] = _rhs_value(nodes[beta], omega)
-    rhs[n + 1] = _constant_moment(omega)
+    constant, linear = _moments(omegas)
+    rhs = np.vstack([_kernel_integral(nodes, omegas).T, constant])
 
     condition = float(np.linalg.cond(mat))
     if not np.isfinite(condition) or condition > 1e12:
@@ -98,36 +106,18 @@ def solve_coefficient_system(n: int, omega: float) -> CoefficientSystemSolution:
     solution = np.linalg.solve(mat, rhs)
     residual = float(np.max(np.abs(mat @ solution - rhs)))
 
-    coefficients = solution[: n + 1]
-    moment_residual = float(
-        abs(np.dot(coefficients, nodes) - linear_moment(omega))
-    )
+    coefficients = solution[: n + 1].T
+    p0 = solution[n + 1]
+    moment_residual = np.abs(coefficients @ nodes - linear)
+    if omega.ndim == 0:
+        coefficients, p0 = coefficients[0], complex(p0[0])
+        moment_residual = float(moment_residual[0])
     return CoefficientSystemSolution(
         coefficients=coefficients,
-        p0=complex(solution[n + 1]),
+        p0=p0,
         residual=residual,
         condition=condition,
         moment_residual=moment_residual,
-    )
-
-
-def _cos_kernel_integral(t: float, c: float) -> float:
-    """int_0^1 cos(c x) |x - t|/2 dx, by splitting at x = t."""
-    if c == 0.0:
-        return t * t / 2.0 - t / 2.0 + 0.25
-    return 0.5 * (
-        (1.0 + math.cos(c) - 2.0 * math.cos(c * t)) / (c * c)
-        + (1.0 - t) * math.sin(c) / c
-    )
-
-
-def _sin_kernel_integral(t: float, c: float) -> float:
-    """int_0^1 sin(c x) |x - t|/2 dx, by splitting at x = t."""
-    if c == 0.0:
-        return 0.0
-    return 0.5 * (
-        (t + (t - 1.0) * math.cos(c)) / c
-        + (math.sin(c) - 2.0 * math.sin(c * t)) / (c * c)
     )
 
 
@@ -156,9 +146,9 @@ def error_norm_bruteforce(coeffs_real, coeffs_imag, omega: float, n: int) -> flo
 
     gram = _kernel(nodes[:, None] - nodes[None, :])
     double_sum = cr @ gram @ cr + ci @ gram @ ci
-    cos_sum = sum(cr[b] * _cos_kernel_integral(nodes[b], c) for b in range(n + 1))
-    sin_sum = sum(ci[b] * _sin_kernel_integral(nodes[b], c) for b in range(n + 1))
-    return -(double_sum - 2.0 * cos_sum - 2.0 * sin_sum + _double_kernel_integral(c))
+    kernel = _kernel_integral(nodes, omega)
+    cross = cr @ kernel.real + ci @ kernel.imag
+    return -(double_sum - 2.0 * cross + _double_kernel_integral(c))
 
 
 def second_difference_window(h: float, window: int) -> dict[int, float]:
@@ -181,26 +171,19 @@ def discrete_operator_identities(h: float, window: int = 8) -> dict[str, tuple[b
     if window < 4:
         raise ValueError(f"window must be at least 4, got {window}")
     stencil = second_difference_window(h, window)
-    offsets = range(-(window - 2), window - 1)
+    weights = np.array([stencil[-1], stencil[0], stencil[1]])
+    # Rows are the offsets beta, columns the stencil taps g = -1, 0, 1.
+    beta = np.arange(-(window - 2), window - 1)
+    lag = beta[:, None] - np.arange(-1, 2)
 
-    report: dict[str, tuple[bool, float]] = {}
+    delta = h * (weights * np.abs(h * lag) / 2.0).sum(axis=1)
+    dev = float(np.max(np.abs(delta - (beta == 0))))
+    report = {"delta_reproduction": (dev <= 1e-14, dev)}
 
-    dev = 0.0
-    for beta in offsets:
-        conv = h * sum(
-            stencil[g] * abs(h * (beta - g)) / 2.0 for g in (-1, 0, 1)
-        )
-        expected = 1.0 if beta == 0 else 0.0
-        dev = max(dev, abs(conv - expected))
-    report["delta_reproduction"] = (dev <= 1e-14, dev)
-
-    dev = abs(stencil[-1] + stencil[0] + stencil[1]) * h * h
+    dev = float(abs(weights.sum()) * h * h)
     report["annihilates_constants"] = (dev <= 1e-14, dev)
 
-    dev = 0.0
-    for beta in offsets:
-        conv = sum(stencil[g] * h * (beta - g) for g in (-1, 0, 1))
-        dev = max(dev, abs(conv) * h)
+    dev = float(np.max(np.abs((weights * h * lag).sum(axis=1)) * h))
     report["annihilates_linears"] = (dev <= 1e-14, dev)
     return report
 

@@ -371,7 +371,26 @@ def test_config_scan_is_the_radon_call_on_resolved_fields():
                                   fbp_reconstruct(cfg.scan(ph), cfg).pixels)
 
 
-@pytest.mark.parametrize("dtheta_deg", [0.0, -3.0, math.nan, math.inf])
+def test_config_scan_spans_the_half_rotation_at_any_step():
+    disk = unit_disk(r=1.0)
+
+    def centre(step):
+        return fbp_reconstruct(disk, FbpConfig(size=64, dtheta_deg=step)).pixels[28:36, 28:36].mean()
+
+    reference = centre(0.5)
+    for step, num_angles in ((7.0, 26), (0.7, 257)):
+        sino = FbpConfig(size=64, dtheta_deg=step).scan(disk)
+        assert sino.num_angles == num_angles
+        assert sino.dtheta == math.radians(180.0 / num_angles)
+        assert abs(centre(step) - reference) <= 3e-3 * reference
+    # A sinogram given as data keeps its own step: 26 angles of 7 degrees
+    # cover 182 degrees and the Riemann sum weights each by 7 degrees.
+    own = radon_analytic(disk, 26, 7.0, default_num_bins(64))
+    given = fbp_reconstruct(own, FbpConfig(size=64)).pixels[28:36, 28:36].mean()
+    assert given > 1.005 * reference
+
+
+@pytest.mark.parametrize("dtheta_deg", [0.0, -3.0, math.nan, math.inf, 1e-320, 400.0])
 def test_config_step_is_checked_only_where_a_lattice_is_built(dtheta_deg):
     cfg = FbpConfig(size=32, dtheta_deg=dtheta_deg)
     with pytest.raises(ValueError, match="angle step"):
@@ -481,3 +500,10 @@ def test_metrics_validation():
         image_metrics(a, b)
     with pytest.raises(ValueError):
         image_metrics(a, a, region="corner")
+    ref = ImageGrid(16, 16, np.ones((16, 16)))
+    off = ImageGrid(16, 16, np.ones((16, 16)), (5.0, 5.0, 6.0, 6.0))
+    with pytest.raises(ValueError, match=r"\(5\.0, 5\.0, 6\.0, 6\.0\) vs .*\(-1\.0, -1\.0, 1\.0, 1\.0\)"):
+        image_metrics(off, ref)
+    assert image_metrics(off, off).psnr == math.inf
+    with pytest.raises(ValueError, match="region 'inner' holds no pixel"):
+        image_metrics(off, off, region="inner")

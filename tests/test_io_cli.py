@@ -494,6 +494,21 @@ def test_cli_phantom_and_metrics_flow(tmp_path, capsys):
     assert "psnr=inf" in out and "e_max=0.0" in out
 
 
+@pytest.mark.parametrize("ref_extent, mask, message", [
+    ((-1.0, -1.0, 1.0, 1.0), "whole", "(5.0, 5.0, 6.0, 6.0) vs 16x16 over (-1.0, -1.0, 1.0, 1.0)"),
+    ((5.0, 5.0, 6.0, 6.0), "inner", "region 'inner' holds no pixel"),
+])
+def test_cli_metrics_raster_mismatch_is_validation_error(tmp_path, capsys, ref_extent, mask,
+                                                         message):
+    test, ref = tmp_path / "t.img", tmp_path / "r.img"
+    oqfio.write_image(test, ImageGrid(16, 16, np.ones((16, 16)), (5.0, 5.0, 6.0, 6.0)))
+    oqfio.write_image(ref, ImageGrid(16, 16, np.ones((16, 16)), ref_extent))
+    assert main(["metrics", "--test", str(test), "--ref", str(ref), "--mask", mask]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_metrics_zero_reference_reports_minus_inf(tmp_path, capsys):
     test, zero = tmp_path / "t.img", tmp_path / "zero.img"
     assert main(["phantom", "--size", "16", "--out", str(test)]) == 0
@@ -565,6 +580,10 @@ def test_cli_fbp_sinogram_ignores_the_scan_step_it_replaces(tmp_path, unused_ste
     ["radon", "--angles-step-deg", "0"],
     ["radon", "--angles-step-deg", "-3"],
     ["radon", "--angles-step-deg", "nan"],
+    ["radon", "--angles-step-deg", "1e-320"],
+    ["radon", "--angles-step-deg", "400"],
+    ["fbp", "--angles-step-deg", "1e-320", "--size", "32"],
+    ["fbp", "--angles-step-deg", "400", "--size", "32"],
 ])
 def test_cli_degenerate_scan_is_validation_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3

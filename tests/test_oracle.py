@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,43 @@ def test_first_moment_identity():
     for n, om in [(8, 2.0), (16, 0.3), (4, 5.0), (12, 0.0)]:
         sol = oracle.solve_coefficient_system(n, om)
         assert sol.moment_residual < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 32])
+def test_frequency_array_rows_match_scalar_solves(n):
+    omegas = np.array([0.1, 0.3, 1.0, 2.7, 5.0, 10.0, -3.3])
+    batch = oracle.solve_coefficient_system(n, omegas)
+    assert batch.coefficients.shape == (len(omegas), n + 1)
+    assert batch.p0.shape == batch.moment_residual.shape == (len(omegas),)
+    assert batch.residual < 1e-10
+    for k, om in enumerate(omegas):
+        single = oracle.solve_coefficient_system(n, om)
+        assert single.coefficients.shape == (n + 1,)
+        assert isinstance(single.p0, complex) and isinstance(single.moment_residual, float)
+        assert np.abs(batch.coefficients[k] - single.coefficients).max() <= 1e-15
+        assert abs(batch.p0[k] - single.p0) <= 1e-15
+        assert abs(batch.moment_residual[k] - single.moment_residual) <= 1e-15
+        assert single.condition == batch.condition
+        assert abs(oracle.linear_moment(omegas)[k] - oracle.linear_moment(om)) <= 1e-15
+
+
+def test_frequency_array_with_zero_gives_trapezoid_row_without_warning():
+    n = 10
+    expected = np.full(n + 1, 1.0 / n)
+    expected[0] = expected[-1] = 0.5 / n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = oracle.solve_coefficient_system(n, np.array([1.3, 0.0, -2.0]))
+        moments = oracle.linear_moment(np.array([0.0, 1.3]))
+        brute = oracle.error_norm_bruteforce(expected, np.zeros(n + 1), 0.0, n)
+    np.testing.assert_allclose(sol.coefficients[1], expected, atol=1e-12)
+    assert moments[0] == 0.5
+    assert brute == pytest.approx(1.0 / (12.0 * n * n), rel=1e-9)
+
+
+def test_frequency_array_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="scalar or 1-d"):
+        oracle.solve_coefficient_system(4, np.zeros((2, 2)))
 
 
 def test_bruteforce_norm_trapezoid():
