@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,10 +39,6 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -51,9 +48,9 @@ def _load_config(path: str | None) -> dict:
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return cfg
 
 
@@ -63,15 +60,15 @@ def _config_value(path: str, key: str, value, type_, extra: dict):
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValidationError(f"config {path}: {key} must be a string or number")
+        raise ValueError(f"config {path}: {key} must be a string or number")
     try:
         value = (type_ or str)(str(value))
     except ValueError:
-        raise ValidationError(f"config {path}: {key}: invalid {type_.__name__} value "
-                              f"{str(value)!r}") from None
+        raise ValueError(f"config {path}: {key}: invalid {type_.__name__} value "
+                         f"{str(value)!r}") from None
     choices = extra.get("choices")
     if choices is not None and value not in choices:
-        raise ValidationError(f"config {path}: {key}: {value!r} is not one of {list(choices)}")
+        raise ValueError(f"config {path}: {key}: {value!r} is not one of {list(choices)}")
     return value
 
 
@@ -86,16 +83,19 @@ def _resolve(args: argparse.Namespace, parameters: list) -> dict:
             value = flag
         resolved[key] = default if value is None else value
     if config:
-        raise ValidationError(f"config {args.config}: {next(iter(config))}: unknown key")
+        raise ValueError(f"config {args.config}: {next(iter(config))}: unknown key")
     return resolved
 
 
 def _lattice(params: dict, name: str) -> np.ndarray:
-    """The lattice that --NAME-min, --NAME-max and --NAME-count describe."""
-    count = params[f"{name}_count"]
+    """The increasing lattice that --NAME-min, --NAME-max and --NAME-count describe."""
+    lo, hi, count = (params[f"{name}_{key}"] for key in ("min", "max", "count"))
     if count < 2:
-        raise ValidationError(f"{name} lattice needs at least 2 points")
-    return np.linspace(params[f"{name}_min"], params[f"{name}_max"], count)
+        raise ValueError(f"{name} lattice needs at least 2 points")
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"--{name}-max must exceed --{name}-min by a finite amount, "
+                         f"got {lo!r} and {hi!r}")
+    return np.linspace(lo, hi, count)
 
 
 def _read_samples(path: str) -> SampledFunction:
@@ -289,7 +289,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(params, indent=2, sort_keys=True))
     if any(all(params[key] is None for key in group) for group in required):
         needed = " and ".join(" and/or ".join(map(_flag, group)) for group in required)
-        raise ValidationError(f"{args.command} requires {needed}")
+        raise ValueError(f"{args.command} requires {needed}")
     return handler(params)
 
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValidationError, ValueError, oqfio.FormatError) as exc:
+    except ValueError as exc:  # oqfio.FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:

@@ -34,9 +34,6 @@ class UniformGrid:
     def h(self) -> float:
         return (self.b - self.a) / self.n
 
-    def node(self, beta: int) -> float:
-        return self.a + self.h * beta
-
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.n + 1)
 

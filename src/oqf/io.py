@@ -42,7 +42,8 @@ _CSV_BLOCK_ROWS = 1 << 14
 
 
 class FormatError(ValueError):
-    """Malformed file content; the message names the byte offset."""
+    """Malformed file content; the message names the byte offset in a binary
+    container and the line in a CSV table."""
 
 
 @contextlib.contextmanager
@@ -74,9 +75,12 @@ def _write_csv(path: str | Path, header: str, row_format: str, columns) -> None:
 
     Rows are formatted _CSV_BLOCK_ROWS at a time, from Python floats, so a
     float field formats exactly as in an f-string and no more than one
-    block's text is held at once.
+    block's text is held at once.  A non-finite value is a ValueError
+    naming its column and row, before ``path`` is touched.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
+    for name, column in zip(header.split(","), columns):
+        _check_finite(f"{path}: {name}", column)
     with _atomic_file(path) as fh:
         fh.write(f"{header}\n".encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
@@ -252,11 +256,12 @@ def write_pgm16(path: str | Path, image: ImageGrid) -> None:
     lo = float(image.pixels.min())
     hi = float(image.pixels.max())
     span = hi - lo
-    scaled = (
-        np.zeros_like(image.pixels)
-        if span == 0.0
-        else (image.pixels - lo) / span * 65535.0
-    )
+    if span == 0.0:
+        scaled = np.zeros_like(image.pixels)
+    elif np.isfinite(span):
+        scaled = (image.pixels - lo) / span * 65535.0
+    else:  # the span overflows; half of it does not
+        scaled = (image.pixels / 2 - lo / 2) / (hi / 2 - lo / 2) * 65535.0
     quantized = np.round(scaled).astype(">u2")
     header = f"P5\n{image.cols} {image.rows}\n65535\n".encode()
     atomic_write_bytes(path, header + quantized.tobytes())

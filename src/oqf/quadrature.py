@@ -266,9 +266,9 @@ def _apply_chirp(
         chirp = np.exp(-1j * math.pi * _half_turns(rate, (lags * lags).astype(float)))
         buf = np.zeros((cols.shape[0], nfft), dtype=complex)
         np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
-        buf = np.fft.fft(buf)
+        np.fft.fft(buf, out=buf)
         buf *= np.fft.fft(chirp, nfft)
-        conv = np.fft.ifft(buf)[:, q.size - 1 : q.size - 1 + m]
+        conv = np.fft.ifft(buf, out=buf)[:, q.size - 1 : q.size - 1 + m]
 
         post = _half_turns(2.0 * nodes[jc], omegas) + _half_turns(rate, (p * p).astype(float))
         conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,17 +298,46 @@ def test_pgm16_constant_image(tmp_path):
     assert values.max() == 0
 
 
+def test_pgm16_span_beyond_the_float_range(tmp_path):
+    img = ImageGrid(1, 3, np.array([[-1e308, 0.0, 1e308]]))
+    path = tmp_path / "wide.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oqfio.write_pgm16(path, img)
+    values = np.frombuffer(path.read_bytes()[len(b"P5\n3 1\n65535\n"):], dtype=">u2")
+    assert values.tolist() == [0, 32768, 65535]
+
+
 @pytest.mark.parametrize("writer, value, index", [
     ("image", math.nan, (1, 0)), ("sinogram", math.inf, (0, 2)), ("pgm16", -math.inf, (0, 1)),
+    ("complex_csv", math.inf, (1, 0)), ("coefficients_csv", math.nan, (0, 2)),
+    ("sweep_csv", -math.inf, (0, 1)),
 ])
 def test_writers_refuse_non_finite_data_before_creating_a_file(tmp_path, writer, value, index):
     data = np.zeros((2, 3))
     data[1, 2] = math.nan  # a later bad value, not the one named
     data[index] = value
     path = tmp_path / "out"
-    with pytest.raises(ValueError, match=rf"non-finite value at index \({index[0]}, {index[1]}\)"):
+    # A CSV writer checks its table (rows of data) column by column.
+    csv_columns = {"complex_csv": "x,re,im", "coefficients_csv": "beta,re,im",
+                   "sweep_csv": "omega,abs_re_err,abs_im_err"}
+    if writer in csv_columns:
+        column = csv_columns[writer].split(",")[index[1]]
+        where = rf"{column}: non-finite value at index \({index[0]},\)"
+    else:
+        where = rf"non-finite value at index \({index[0]}, {index[1]}\)"
+    values = data[:, 1:].copy().view(complex).ravel()
+    with pytest.raises(ValueError, match=where):
         if writer == "sinogram":
             oqfio.write_sinogram(path, Sinogram(2, 3, 0.0, 0.1, -1.0, 1.0, data))
+        elif writer == "complex_csv":
+            oqfio.write_complex_csv(path, "x", data[:, 0], values)
+        elif writer == "coefficients_csv":
+            oqfio.write_coefficients_csv(path, values)
+        elif writer == "sweep_csv":
+            oqfio.write_sweep_csv(path, [
+                SimpleNamespace(omega=w, abs_real_error=r, abs_imag_error=i) for w, r, i in data
+            ])
         else:
             getattr(oqfio, f"write_{writer}")(path, ImageGrid(2, 3, data))
     assert list(tmp_path.iterdir()) == []
@@ -781,6 +811,47 @@ def test_cli_ft_frequency_beyond_limit_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "|omega| <= " in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ift", "--x-min", "1", "--x-max", "-1", "--x-count", "3"],
+    ["ift", "--x-min", "1", "--x-max", "1"],
+    ["ift", "--x-max", "nan"],
+    ["ft", "--omega-min", "1", "--omega-max", "-1"],
+    ["ft", "--omega-min", "nan"],
+    ["ft", "--omega-min=-1e308", "--omega-max", "1e308"],
+])
+def test_cli_output_lattice_must_increase(argv, tmp_path, capsys, monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("transform ran on a rejected lattice")
+
+    monkeypatch.setattr(transform, "forward_transform", no_transform)
+    monkeypatch.setattr(transform, "inverse_transform", no_transform)
+    src = tmp_path / "in.csv"
+    src.write_text(IFT_INPUT if argv[0] == "ift" else FT_INPUT)
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--input", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    name = "x" if argv[0] == "ift" else "omega"
+    assert f"--{name}-min" in err and f"--{name}-max" in err
+    assert not out.exists()
+
+
+def test_cli_ft_overflowing_output_is_refused_before_a_file_exists(tmp_path):
+    # Without pytest's error filter the overflow only warns, so the finite
+    # check of the CSV writer is what stops the NaN rows.
+    (tmp_path / "in.csv").write_text("x,re,im\n0,1e308,0\n0.5,1e308,0\n1,1e308,0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "oqf.cli", "ft", "--input", "in.csv", "--out", "o.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: o.csv: re: non-finite value")
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
 
 
 def test_cli_verify_full_includes_fast_vs_dense(capsys):

@@ -21,8 +21,8 @@ TWO_PI = 2.0 * math.pi
 def test_grid_invariants():
     g = UniformGrid(0.0, 1.0, 10)
     assert g.h == 0.1
-    assert g.node(0) == 0.0
-    assert abs(g.node(10) - 1.0) < 1e-15
+    assert g.nodes()[0] == 0.0
+    assert abs(g.nodes()[10] - 1.0) < 1e-15
     with pytest.raises(ValueError):
         UniformGrid(1.0, 0.0, 4)
     with pytest.raises(ValueError):
@@ -494,6 +494,26 @@ def test_forward_transform_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * result.values.nbytes
+
+
+def test_apply_weights_convolves_in_one_buffer_per_block():
+    # The ramp filter's forward shape at 512^2 and 0.5 degrees: 729 detector
+    # bins, 2917 frequencies, 360 real columns, one chirp-z block.  Beside
+    # the result and the complex copy of the samples, the convolution holds
+    # one (columns x nfft) buffer; a second one would pass the bound.
+    import tracemalloc
+
+    grid = UniformGrid(-1.0, 1.0, 728)
+    omegas = np.linspace(-182.0, 182.0, 2917)
+    values = np.random.default_rng(5).standard_normal((729, 360))
+    buffer = 360 * quadrature._fft_length(2917 + 728 - 2) * 16
+    tracemalloc.start()
+    try:
+        result = apply_weights(grid, omegas, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * buffer + result.nbytes + 2 * values.nbytes
 
 
 @pytest.mark.parametrize("omega", [1e160, -1e160, 1e308, 2.0**511 / TWO_PI * 1.0000001])
