@@ -33,7 +33,6 @@ from .grid import SampledFunction, UniformGrid
 from .quadrature import coefficient_matrix
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
@@ -161,13 +160,8 @@ def cmd_radon(params: dict) -> int:
 
 
 def cmd_fbp(params: dict) -> int:
-    config = FbpConfig(
-        size=params["size"],
-        dtheta_deg=params["angles_step_deg"],
-        num_bins=params["num_bins"],
-        omega_band=params["band"],
-        num_omega=params["num_omega"],
-    )
+    config = FbpConfig(size=params["size"], dtheta_deg=params["angles_step_deg"],
+                       num_bins=params["num_bins"])
     if params["sinogram"] is not None:
         source = oqfio.read_sinogram(params["sinogram"])
     else:
@@ -260,8 +254,7 @@ COMMANDS = {
     "fbp": (
         cmd_fbp, "filtered back-projection reconstruction", [("out", "pgm")],
         [("size", int, _FBP.size, {}), ("angles_step_deg", float, _FBP.dtheta_deg, {}),
-         ("num_bins", int, _FBP.num_bins, {}), ("band", float, _FBP.omega_band, {}),
-         ("num_omega", int, _FBP.num_omega, {}), _VARIANT,
+         ("num_bins", int, _FBP.num_bins, {}), _VARIANT,
          ("sinogram", None, None, {"help": "reconstruct this sinogram instead of the phantom"}),
          *_IMAGE_OUT],
     ),

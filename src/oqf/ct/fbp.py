@@ -37,13 +37,11 @@ def default_num_bins(size: int) -> int:
 
 @dataclass(frozen=True)
 class FbpConfig:
-    """Geometry and band parameters of one reconstruction run."""
+    """Scan and raster parameters of one reconstruction run."""
 
     size: int = 512
-    dtheta_deg: float = 0.5          # scanned at 180/num_angles degrees
+    dtheta_deg: float = 0.5  # scanned at 180/num_angles degrees
     num_bins: int | None = None
-    omega_band: float | None = None  # None: filter_projections' default
-    num_omega: int | None = None     # None: filter_projections' default
 
     def resolved(self) -> "FbpConfig":
         num_bins = self.num_bins if self.num_bins is not None else default_num_bins(self.size)
@@ -67,30 +65,22 @@ class FbpConfig:
         return radon_analytic(phantom, num_angles, 180.0 / num_angles, cfg.num_bins)
 
 
-def filter_projections(
-    sino: Sinogram, omega_band: float | None = None, num_omega: int | None = None
-) -> FilteredSinogram:
+def filter_projections(sino: Sinogram) -> FilteredSinogram:
     """Ramp-filter every projection through the optimal quadrature transforms.
 
     The forward transform runs over the detector interval; the band-limited
-    inverse runs over [-omega_band, omega_band] and is evaluated back at the
-    detector bins.  Unset, omega_band is the detector Nyquist 1/(2 dt) and
-    num_omega is 4 num_bins + 1.  Real input yields real output up to
-    roundoff; the largest imaginary residue is reported on the result.
+    inverse runs over the sinogram's own frequency lattice, 4 num_bins + 1
+    points on [-1/(2 dt), 1/(2 dt)] up to the detector Nyquist, and is
+    evaluated back at the detector bins.  Real input yields real output up
+    to roundoff; the largest imaginary residue is reported on the result.
     """
-    omega_band = omega_band if omega_band is not None else 1.0 / (2.0 * sino.dt)
-    num_omega = num_omega if num_omega is not None else 4 * sino.num_bins + 1
-    if omega_band <= 0:
-        raise ValueError(f"band limit must be positive, got {omega_band}")
-    if num_omega < 2:
-        raise ValueError(f"need at least 2 frequency samples, got {num_omega}")
-
     det_grid = UniformGrid(sino.t0, sino.t0 + sino.dt * (sino.num_bins - 1), sino.num_bins - 1)
-    omega_grid = UniformGrid(-omega_band, omega_band, num_omega - 1)
+    band = 1.0 / (2.0 * sino.dt)
+    omega_grid = UniformGrid(-band, band, 4 * sino.num_bins)
     omegas = omega_grid.nodes()
 
     # S(omega, theta) for all angles at once: forward kernel e^{-2 pi i omega t}.
-    spectra = apply_weights(det_grid, -omegas, sino.data.T)  # (num_omega, num_angles)
+    spectra = apply_weights(det_grid, -omegas, sino.data.T)  # (4 num_bins + 1, num_angles)
     spectra *= np.abs(omegas)[:, None]
 
     # Q(t, theta): band-limited inverse evaluated at the detector bins.
@@ -206,5 +196,5 @@ def fbp_reconstruct(
 ) -> ImageGrid:
     """Full pipeline: (exact Radon if needed) -> ramp filtering -> back-projection."""
     sino = source if isinstance(source, Sinogram) else config.scan(source)
-    filtered = filter_projections(sino, config.omega_band, config.num_omega)
+    filtered = filter_projections(sino)
     return backproject(filtered, config.size)

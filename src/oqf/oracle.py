@@ -187,10 +187,3 @@ def discrete_operator_identities(h: float, window: int = 8) -> dict[str, tuple[b
     report["annihilates_linears"] = (dev <= 1e-14, dev)
     return report
 
-
-def transform_to_interval(coeffs01, a: float, b: float, omega: float) -> np.ndarray:
-    """Map weights built for [0,1] at frequency omega*(b-a) onto [a,b] at omega."""
-    if not b > a:
-        raise ValueError(f"interval end must exceed start: a={a}, b={b}")
-    coeffs01 = np.asarray(coeffs01, dtype=complex)
-    return (b - a) * np.exp(2j * math.pi * omega * a) * coeffs01

@@ -141,6 +141,15 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     summed as chirp-z transforms of contiguous blocks (see _CHIRP_BLOCK) in
     O((M+n) log(M+n)); any other lattice builds the dense weights a block
     of rows at a time.
+
+    The samples must satisfy F = max(|Re f|, |Im f|) <= 2**1020 / max(N**3,
+    b - a) with N = 2 (m + n), where m = min(M, max(_CHIRP_BLOCK, n + 1)) is
+    the frequency count of one chirp-z block, so N exceeds its FFT length.
+    Then no FFT intermediate passes sqrt(2) N**3 F (the unnormalized inverse
+    sums N products of two transforms, each at most the sum of its N inputs)
+    and no weighted sum passes sqrt(2) (b - a) F (the weights' moduli add up
+    to at most b - a), so both stay below 2**1021.  NaN and inf fail the
+    bound.
     """
     omegas = _frequencies(omegas, grid.h)
     values = np.asarray(values, dtype=complex)
@@ -148,8 +157,14 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
         raise ValueError(
             f"expected {grid.n + 1} samples per column, got shape {values.shape}"
         )
-    if not np.isfinite(values).all():
-        raise ValueError("samples must be finite")
+    chirp_length = max(_CHIRP_BLOCK, grid.n + 1)
+    fft_bound = 2.0 * (min(omegas.size, chirp_length) + grid.n)
+    limit = 2.0**1020 / max(fft_bound**3, grid.b - grid.a)
+    parts = values.ravel(order="K").view(float)  # a view when values is contiguous
+    peak = np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
+    if not peak <= limit:  # also catches NaN
+        raise ValueError(f"samples must be finite with max(|Re f|, |Im f|) <= {limit:.6g} "
+                         f"for {grid.n + 1} nodes on [{grid.a:g}, {grid.b:g}]")
     step = _lattice_step(omegas)
     if step is None:
         length = max(1, _DENSE_BLOCK_WEIGHTS // (grid.n + 1))
@@ -158,7 +173,7 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     else:
         # Every block keeps the whole lattice's step: a block near omega = 0 need
         # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
-        length = max(_CHIRP_BLOCK, grid.n + 1)
+        length = chirp_length
         def evaluate(block):
             return _apply_chirp(grid, block, step, values)
     if omegas.size <= length:  # one block: no copy into a separate result

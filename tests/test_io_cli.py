@@ -474,6 +474,16 @@ def test_cli_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--band", "1"), ("--num-omega", "99")])
+def test_cli_fbp_frequency_lattice_is_not_a_flag(flag, value, tmp_path):
+    # filter_projections takes its lattice from the sinogram alone.
+    out = tmp_path / "r.img"
+    with pytest.raises(SystemExit) as exc:
+        main(["fbp", flag, value, "--size", "16", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_ft_matches_library(tmp_path):
     grid = UniformGrid(-1.0, 1.0, 16)
     vals = np.cos(2.0 * np.pi * grid.nodes())
@@ -683,6 +693,8 @@ def test_cli_config_value_is_typed_and_checked_as_its_flag(command, config, key,
 @pytest.mark.parametrize("command, config, key", [
     (["ft"], {"omega-count": 5, "omegacount": 7}, "omega-count"),
     (["radon"], {"num_bins": 33, "size": 64}, "size"),
+    (["fbp"], {"num_omega": 99}, "num_omega"),
+    (["fbp"], {"band": 1.0}, "band"),
 ])
 def test_cli_config_key_naming_no_parameter_is_validation_error(command, config, key, tmp_path,
                                                                 capsys):
@@ -725,7 +737,7 @@ def test_cli_config_null_is_unset(tmp_path, capsys):
     ("error-sweep", ["--alpha", "1", "--a", "-3"]),
     ("phantom", ["--size", "64", "--variant", "classic"]),
     ("radon", ["--num-bins", "101"]),
-    ("fbp", ["--band", "3.5", "--num-omega", "99"]),
+    ("fbp", ["--num-bins", "99", "--sinogram", "s.sino"]),
     ("metrics", ["--mask", "inner", "--test", "t.img"]),
     ("verify", ["--level", "full"]),
 ])
@@ -838,20 +850,24 @@ def test_cli_output_lattice_must_increase(argv, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_ft_overflowing_output_is_refused_before_a_file_exists(tmp_path):
-    # Without pytest's error filter the overflow only warns, so the finite
-    # check of the CSV writer is what stops the NaN rows.
+    # apply_weights bounds the samples before any transform runs, so the run
+    # raises no RuntimeWarning, with or without the error filter.
     (tmp_path / "in.csv").write_text("x,re,im\n0,1e308,0\n0.5,1e308,0\n1,1e308,0\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop("PYTHONWARNINGS", None)
-    done = subprocess.run(
-        [sys.executable, "-m", "oqf.cli", "ft", "--input", "in.csv", "--out", "o.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 3, done.stderr
-    assert done.stderr.splitlines()[-1].startswith("error: o.csv: re: non-finite value")
-    assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
+    for warnings in (None, "error::RuntimeWarning"):
+        env.pop("PYTHONWARNINGS", None)
+        if warnings is not None:
+            env["PYTHONWARNINGS"] = warnings
+        done = subprocess.run(
+            [sys.executable, "-m", "oqf.cli", "ft", "--input", "in.csv", "--out", "o.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: samples must be finite with max(|Re f|, |Im f|) <= ")
+        assert done.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
 
 
 def test_cli_verify_full_includes_fast_vs_dense(capsys):
@@ -911,12 +927,10 @@ CLI_SPECS = {
         "radon requires --out",
     ),
     "fbp": (
-        {"angles_step_deg": 0.5, "band": None, "num_bins": None, "num_omega": None,
-         "out": None, "pgm": None, "sinogram": None, "size": 512,
-         "variant": "modified"},
+        {"angles_step_deg": 0.5, "num_bins": None, "out": None, "pgm": None,
+         "sinogram": None, "size": 512, "variant": "modified"},
         {("--angles-step-deg", "angles_step_deg", float, None),
-         ("--band", "band", float, None), ("--num-bins", "num_bins", int, None),
-         ("--num-omega", "num_omega", int, None), ("--out", "out", None, None),
+         ("--num-bins", "num_bins", int, None), ("--out", "out", None, None),
          ("--pgm", "pgm", None, None), ("--sinogram", "sinogram", None, None),
          ("--size", "size", int, None),
          ("--variant", "variant", None, ("modified", "classic"))},

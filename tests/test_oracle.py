@@ -141,26 +141,3 @@ def test_delta_convolution_pointwise():
     )
     assert conv(0) == pytest.approx(1.0, abs=1e-14)
     assert conv(3) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_transform_to_interval_identity_on_unit_interval():
-    c = coefficient_matrix(UniformGrid(0.0, 1.0, 8), 1.3)
-    np.testing.assert_allclose(oracle.transform_to_interval(c, 0.0, 1.0, 1.3), c)
-
-
-def test_transform_to_interval_zero_frequency_scaling():
-    n = 6
-    c01 = coefficient_matrix(UniformGrid(0.0, 1.0, n), 0.0)
-    mapped = oracle.transform_to_interval(c01, -1.0, 1.0, 0.0)
-    h = 2.0 / n
-    expected = np.full(n + 1, h, dtype=complex)
-    expected[0] = expected[-1] = h / 2.0
-    np.testing.assert_allclose(mapped, expected, atol=1e-15)
-
-
-def test_transform_to_interval_matches_direct_evaluation():
-    a, b, om, n = -1.0, 1.0, 0.5, 8
-    c01 = coefficient_matrix(UniformGrid(0.0, 1.0, n), om * (b - a))
-    mapped = oracle.transform_to_interval(c01, a, b, om)
-    direct = coefficient_matrix(UniformGrid(a, b, n), om)
-    assert np.abs(mapped - direct).max() < 1e-12

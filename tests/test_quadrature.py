@@ -37,6 +37,34 @@ def test_trapezoid_limit():
     np.testing.assert_array_equal(c.imag, 0.0)
 
 
+def test_coefficient_matrix_maps_from_unit_interval():
+    # x = a + (b - a) u turns the weights on [a, b] at omega into
+    # (b - a) e^{2 pi i omega a} times those on [0, 1] at omega (b - a).
+    a, b, om, n = -1.0, 1.0, 0.5, 8
+    c01 = coefficient_matrix(UniformGrid(0.0, 1.0, n), om * (b - a))
+    mapped = (b - a) * np.exp(2j * math.pi * om * a) * c01
+    direct = coefficient_matrix(UniformGrid(a, b, n), om)
+    assert np.abs(mapped - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64])
+def test_weights_are_exact_hat_integrals(n):
+    # Schoenberg (1964): the optimal rule integrates the piecewise-linear
+    # interpolant exactly, so weight j is the integral of hat j (a half-hat at
+    # either end) times e^{2 pi i omega x}.  Gauss-Legendre on each panel, with
+    # enough nodes for |2 pi omega h|, shares no code with the closed forms.
+    grid = UniformGrid(-0.7, 1.9, n)
+    h = grid.h
+    for omega in (0.0, -2.7, 0.37, 1.0, 5.0, 10.0, 41.0):
+        s, g = np.polynomial.legendre.leggauss(20 + int(abs(TWO_PI * omega * h)))
+        u = (s + 1.0) / 2.0  # position within a panel
+        kernel = h / 2.0 * g * np.exp(2j * math.pi * omega * (grid.nodes()[:-1, None] + h * u))
+        expected = np.zeros(n + 1, dtype=complex)
+        expected[:-1] += (kernel * (1.0 - u)).sum(axis=1)  # hat j falls across panel j
+        expected[1:] += (kernel * u).sum(axis=1)           # hat j + 1 rises across it
+        assert np.abs(coefficient_matrix(grid, omega) - expected).max() <= 1e-12
+
+
 def test_integer_omega_h_kills_interior():
     c = coefficient_matrix(UniformGrid(0.0, 1.0, 4), 4.0)
     assert np.abs(c[1:-1]).max() == 0.0
@@ -317,6 +345,32 @@ def test_coefficient_matrix_rejects_non_finite_frequency():
     for omegas in (math.nan, [0.0, math.inf], [[0.0]]):
         with pytest.raises(ValueError):
             monomial_fourier_integral(1, omegas, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("grid, omegas", [
+    (UniformGrid(0.0, 1.0, 2), np.linspace(-1.0, 1.0, 201)),      # chirp-z
+    (UniformGrid(-3.0, 1.0, 5000), np.linspace(-300.0, 300.0, 20001)),
+    (UniformGrid(0.0, 1.0, 1), np.linspace(-3.0, 3.0, 40000)),    # two chirp blocks
+    (UniformGrid(-0.7, 1.9, 64), np.array([0.0, 0.3, 2.0])),      # dense
+    (UniformGrid(0.0, 1e290, 9), np.array([0.0, 1e-291, 3e-291])),
+    (UniformGrid(0.0, 1e290, 9), np.linspace(-1e-150, 1e-150, 201)),
+])
+def test_apply_weights_sample_bound(grid, omegas):
+    # F = max(|Re f|, |Im f|) up to 2**1020 / max(N**3, b - a), N = 2 (m + n)
+    # with m the frequencies of one chirp-z block, overflows nowhere.
+    m = min(omegas.size, max(quadrature._CHIRP_BLOCK, grid.n + 1))
+    limit = 2.0**1020 / max((2.0 * (m + grid.n)) ** 3, grid.b - grid.a)
+    phases = np.exp(1j * np.random.default_rng(5).uniform(0.0, TWO_PI, grid.n + 1))
+    with np.errstate(all="raise"):
+        for values in (np.full(grid.n + 1, limit * (1 + 1j)), limit * phases,
+                       np.full(grid.n + 1, -limit)):
+            assert np.isfinite(apply_weights(grid, omegas, values)).all()
+    for bad in (np.nextafter(limit, math.inf), 1e308, math.inf, -math.inf, math.nan):
+        for part in ("real", "imag"):
+            values = np.zeros((grid.n + 1, 2), dtype=complex)[:, :1]  # strided columns
+            getattr(values, part)[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                apply_weights(grid, omegas, values)
 
 
 def test_series_branches_equal_numpy_polynomial_polyval():
