@@ -1,10 +1,14 @@
 """Filtered back-projection built on the optimal quadrature transforms.
 
-Per angle, the projection is Fourier-transformed with the optimal weights,
-multiplied by the ramp |omega| truncated at the band limit, and inverse
-transformed back onto the detector lattice.  Back-projection integrates the
-filtered projections over the half rotation with a plain Riemann sum in
-angle and linear interpolation in detector position.
+The ramp filter is the optimal forward transform of a projection onto the
+sinogram's frequency lattice, the ramp |omega| up to the detector Nyquist,
+and the optimal inverse transform back onto the detector bins.  Both
+transforms are the same for every angle, so filter_projections builds their
+product, one real n x n operator per detector geometry, from the closed-form
+weights (a Toeplitz part scaled per bin plus a rank-3 part at the end bins)
+and applies it to all angles as one real FFT convolution.  Back-projection
+integrates the filtered projections over the half rotation with a plain
+Riemann sum in angle and linear interpolation in detector position.
 
 Back-projection reads each angle's detector values from a lerp table by
 index arithmetic, one strip of raster rows at a time, and shares one index
@@ -18,14 +22,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..grid import UniformGrid
-from ..quadrature import apply_weights
+from ..quadrature import TWO_PI, _fft_length, _frequencies, _interior_factor, _left_factor
 from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic
 
 
 @dataclass(frozen=True)
 class FilteredSinogram(Sinogram):
-    """Ramp-filtered projections on the same lattice as their source sinogram."""
+    """Ramp-filtered projections on the same lattice as their source sinogram.
+
+    max_imag bounds the imaginary part the filter's complex operator would
+    leave on the data (see filter_projections).
+    """
 
     max_imag: float = 0.0
 
@@ -66,28 +73,105 @@ class FbpConfig:
 
 
 def filter_projections(sino: Sinogram) -> FilteredSinogram:
-    """Ramp-filter every projection through the optimal quadrature transforms.
+    """Ramp-filter every projection with K = Re(W_inv diag|omega| W_fwd).
 
-    The forward transform runs over the detector interval; the band-limited
-    inverse runs over the sinogram's own frequency lattice, 4 num_bins + 1
-    points on [-1/(2 dt), 1/(2 dt)] up to the detector Nyquist, and is
-    evaluated back at the detector bins.  Real input yields real output up
-    to roundoff; the largest imaginary residue is reported on the result.
+    W_fwd holds the optimal weights of the forward transform from the n
+    detector bins t_i = t0 + i dt to the sinogram's own frequency lattice,
+    omega_k = (k/(4n) - 1/2)/dt for k = 0..4n (up to the detector Nyquist
+    1/(2 dt)), and W_inv those of the inverse transform from that lattice
+    back to the bins.  Every angle takes the same n x n operator
+
+        K = diag(s) (toeplitz(T) + g_0 e_0^T + g_{n-1} e_{n-1}^T)
+            + w (e_0 - (-1)^(n-1) e_{n-1})^T,
+
+    built from the closed forms I = _interior_factor and L = _left_factor
+    at theta_k = 2 pi omega_k dt and phi_i = 2 pi t_i tau, tau = 1/(4n dt):
+
+    - s_i = tau I(phi_i) is the inverse interior weight;
+    - T(d) = sum_{k<4n} |omega_k dt| I(theta_k) e^{2 pi i omega_k d dt} at
+      d = i - j.  The two band ends share the phase (-1)^d, and the real
+      parts of their inverse weights tau L(phi) and tau conj L(phi) add up
+      to s, so they count once;
+    - g_0 and g_{n-1} replace the interior forward weight by the end bins'
+      conj L(theta_k) and L(theta_k) in the first and last column;
+    - w_i = -(-1)^i tau Im L(phi_i) Im L(pi) is what the imaginary parts of
+      the band ends' weights leave.
+
+    On this lattice omega_k d dt = k d/(4n) - d/2, so T and g_0 come from
+    one complex FFT of length 4n (g_{n-1} is g_0 reversed).  K is applied to
+    all angles as one real FFT convolution of length >= 2n - 1, scaled by s,
+    plus a rank-3 product with the end samples.  It equals the two
+    transforms applied in turn to within rounding.
+
+    K is real in exact arithmetic because the lattice is symmetric about
+    omega = 0.  max_imag bounds what the complex operator, as its factors
+    are evaluated here, would leave in the imaginary part on this data: the
+    largest row sum of |Im K| times max |data|, with no second convolution.
+    The output carries no imaginary part; max_imag is 0.0 for all-zero data.
+
+    Raises ValueError for bins past the closed forms' range at step tau
+    (see quadrature._frequencies), and for samples that are not finite or
+    exceed 2**1020 / (max(1, tau) N**4), N the convolution length, so no FFT
+    intermediate or output can overflow.
     """
-    det_grid = UniformGrid(sino.t0, sino.t0 + sino.dt * (sino.num_bins - 1), sino.num_bins - 1)
-    band = 1.0 / (2.0 * sino.dt)
-    omega_grid = UniformGrid(-band, band, 4 * sino.num_bins)
-    omegas = omega_grid.nodes()
+    n, dt = sino.num_bins, sino.dt
+    m = 4 * n
+    tau = 1.0 / (2.0 * dt) / (2 * n)
+    bins = _frequencies(sino.bins(), tau)
+    length = _fft_length(2 * n - 1)
+    data = sino.data
+    peak = max(data.max(), -data.min())
+    # |rfft(f)| <= n F and |rfft(kernel)| <= (2n - 1) 2n, so no FFT
+    # intermediate passes N**4 F and no output tau N**4 F.
+    limit = 2.0**1020 / (max(1.0, tau) * float(length) ** 4)
+    if not peak <= limit:  # also catches NaN
+        raise ValueError(f"projections must be finite with |value| <= {limit:.6g} "
+                         f"for {n} bins at spacing {dt:g}")
 
-    # S(omega, theta) for all angles at once: forward kernel e^{-2 pi i omega t}.
-    spectra = apply_weights(det_grid, -omegas, sino.data.T)  # (4 num_bins + 1, num_angles)
-    spectra *= np.abs(omegas)[:, None]
+    # Symbols over k = 0..4n - 1, with omega_k dt exact at the band ends.
+    wdt = np.arange(m + 1) / m - 0.5
+    theta = TWO_PI * wdt
+    interior = np.abs(wdt) * _interior_factor(theta)
+    first_bin = np.abs(wdt) * np.conj(_left_factor(theta))
+    symbols = np.zeros((2, m), dtype=complex)
+    symbols[0] = interior[:m]
+    symbols[1, 1:] = first_bin[1:m] - interior[1:m]  # the band ends enter below
+    sums = np.fft.ifft(symbols, norm="forward")  # sum_k c_k e^{2 pi i k d/(4n)} at d mod 4n
+    sums[:, 1::2] *= -1.0
+    toeplitz, first_col = sums
 
-    # Q(t, theta): band-limited inverse evaluated at the detector bins.
-    filtered = apply_weights(omega_grid, det_grid.nodes(), spectra).T  # (num_angles, num_bins)
+    # At the band ends the end bins' forward weights beta and conj(beta) meet
+    # the inverse weights tau L(phi) and tau conj L(phi), whose real parts sum
+    # to s; the imaginary parts leave w times f_0 - (-1)^(n-1) f_{n-1}, a
+    # difference taken from the data, so equal end samples cancel exactly.
+    phi = TWO_PI * bins * tau
+    s = tau * _interior_factor(phi)
+    i = np.arange(n)
+    sign = 1.0 - 2.0 * (i % 2)
+    last_sign = -1.0 if n % 2 == 0 else 1.0
+    beta = first_bin[0]
+    end = sign * (beta.real - interior[0])
+    cols = np.stack([first_col[i] + end, np.conj(first_col[n - 1 - i]) + last_sign * end])
+    w = sign * (-2.0 * tau * beta.imag) * _left_factor(phi).imag
 
-    max_imag = float(np.abs(filtered.imag).max()) if filtered.size else 0.0
-    return FilteredSinogram(*sino.geometry(), data=filtered.real, max_imag=max_imag)
+    kernel = np.zeros(length)
+    kernel[:n] = toeplitz[:n].real
+    kernel[length - n + 1:] = toeplitz[m - n + 1:].real
+    buffer = np.zeros((sino.num_angles, length))
+    buffer[:, :n] = data
+    spectra = np.fft.rfft(buffer, axis=1)
+    spectra *= np.fft.rfft(kernel)
+    filtered = np.fft.irfft(spectra, length, axis=1, out=buffer)[:, :n]
+    filtered *= s
+    ends = np.stack([data[:, 0], data[:, -1], data[:, 0] - last_sign * data[:, -1]], axis=1)
+    filtered += ends @ np.vstack([s * cols.real, w])
+
+    # Row i of toeplitz(Im T) spans lags d = i - n + 1 .. i.
+    lags = np.abs(np.concatenate([toeplitz[m - n + 1:], toeplitz[:n]]).imag)
+    window = np.concatenate([[0.0], np.cumsum(lags)])
+    rows = s * (window[n:] - window[:n] + np.abs(cols.imag).sum(axis=0))
+    max_imag = float(rows.max() * peak)
+    return FilteredSinogram(*sino.geometry(), data=filtered, max_imag=max_imag)
 
 
 def _square_orbits(theta0: float, dtheta: float, num_angles: int) -> list[list[tuple[int, int]]]:

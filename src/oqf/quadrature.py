@@ -208,7 +208,13 @@ def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
     large rate * x is; index arguments such as q**2 are exact below 2**53.
     """
     prod = rate * x
-    rate_hi, rate_lo = _split(rate)
+    # (2**27 + 1) rate overflows past about 1.3e300, so a rate beyond 2**996
+    # is split at 2**-28 its size and scaled back, which is exact.  x, a
+    # frequency or an index product, stays far below that.
+    scale = 2.0**28 if abs(rate) > 2.0**996 else 1.0
+    rate_hi, rate_lo = _split(rate / scale)
+    rate_hi *= scale
+    rate_lo *= scale
     x_hi, x_lo = _split(x)
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
     return np.fmod(np.fmod(prod, 2.0) + err, 2.0)
@@ -264,8 +270,12 @@ def _apply_chirp(
     theta = TWO_PI * omegas * h
     left = _left_factor(theta)
 
-    first = h * left * np.exp(1j * math.pi * _half_turns(2.0 * nodes[0], omegas))
-    last = h * np.conj(left) * np.exp(1j * math.pi * _half_turns(2.0 * nodes[-1], omegas))
+    # 2 x omega in half-turns is taken as x (2 omega): doubling a node could
+    # overflow, doubling a frequency cannot (see _MAX_THETA), and the phase
+    # is the same bit for bit.
+    twice = 2.0 * omegas
+    first = h * left * np.exp(1j * math.pi * _half_turns(nodes[0], twice))
+    last = h * np.conj(left) * np.exp(1j * math.pi * _half_turns(nodes[-1], twice))
     out = cols[:, [0, -1]] @ np.stack([first, last])
 
     if n > 1:
@@ -285,7 +295,7 @@ def _apply_chirp(
         buf *= np.fft.fft(chirp, nfft)
         conv = np.fft.ifft(buf, out=buf)[:, q.size - 1 : q.size - 1 + m]
 
-        post = _half_turns(2.0 * nodes[jc], omegas) + _half_turns(rate, (p * p).astype(float))
+        post = _half_turns(nodes[jc], twice) + _half_turns(rate, (p * p).astype(float))
         conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)
         out += conv
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from oqf.ct import (
 from oqf.ct.fbp import FilteredSinogram, _square_orbits
 from oqf.ct.phantom import ellipse_projection, ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
+from oqf.quadrature import apply_weights
 from oqf.transform import forward_transform, inverse_transform
 
 
@@ -158,6 +160,137 @@ def test_filter_matches_per_angle_transform_route():
         spectrum = forward_transform(f, ogrid.nodes()).values * np.abs(ogrid.nodes())
         q = inverse_transform(SampledFunction(ogrid, spectrum), det.nodes())
         np.testing.assert_allclose(out.data[k], q.real, atol=1e-12)
+
+
+def two_transform_filter(sino):
+    """The ramp filter as two apply_weights calls over all angles: the forward
+    transform to the 4 num_bins + 1 frequencies on [-1/(2 dt), 1/(2 dt)], the
+    ramp, and the inverse back at the bins.  Returns the complex result."""
+    det = UniformGrid(sino.t0, sino.t0 + sino.dt * (sino.num_bins - 1), sino.num_bins - 1)
+    band = 1.0 / (2.0 * sino.dt)
+    ogrid = UniformGrid(-band, band, 4 * sino.num_bins)
+    omegas = ogrid.nodes()
+    spectra = apply_weights(det, -omegas, sino.data.T) * np.abs(omegas)[:, None]
+    return apply_weights(ogrid, det.nodes(), spectra).T
+
+
+def assert_filter_parity(sino, tol=1e-12):
+    expected = two_transform_filter(sino).real
+    out = filter_projections(sino)
+    assert out.geometry() == sino.geometry()
+    assert np.abs(out.data - expected).max() <= tol * np.abs(expected).max()
+    return out
+
+
+# (num_angles, num_bins, t0, dt): odd and even bin counts down to two, a
+# single angle, detector ranges not centred on 0, and a detector a million
+# bins off centre.  There dt is a power of two so that the two-transform
+# route's grid, whose step (b - a)/(n - 1) rounds at the scale of t0, lies on
+# the same bins; at dt = 0.013 its step is off by 1e-10 and its output by up
+# to 1e-7.
+FILTER_PARITY_CASES = {
+    "two_bins": (3, 2, -1.0, 2.0),
+    "three_bins": (4, 3, -1.0, 1.0),
+    "even": (5, 64, -1.0, 2.0 / 63),
+    "odd": (5, 65, -1.0, 2.0 / 64),
+    "one_angle_odd": (1, 33, -0.5, 0.03),
+    "one_angle_even": (1, 34, -0.5, 0.03),
+    "asymmetric": (6, 47, -0.3, 0.041),
+    "right_of_zero": (3, 20, 0.2, 0.05),
+    "far_two_bins": (2, 2, -1e6 * 2.0**-5, 2.0**-5),
+    "far_even": (3, 16, 1e6 * 2.0**-5, 2.0**-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_PARITY_CASES))
+def test_filter_matches_two_transform_route(case):
+    num_angles, num_bins, t0, dt = FILTER_PARITY_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    sino = Sinogram(num_angles, num_bins, 0.3, 0.1, t0, dt, rng.normal(size=(num_angles, num_bins)))
+    assert_filter_parity(sino)
+    # a smooth projection, as a scan gives, on the same lattice
+    bins = sino.bins()
+    mid, half = 0.5 * (bins[0] + bins[-1]), 0.5 * (bins[-1] - bins[0])
+    disk = np.sqrt(np.clip(1.0 - ((bins - mid) / (1.2 * half)) ** 2, 0.0, None))
+    assert_filter_parity(Sinogram(1, num_bins, 0.0, 0.1, t0, dt, disk[None, :]))
+
+
+def test_filter_matches_two_transform_route_full_scale():
+    sino = FbpConfig(size=512, dtheta_deg=0.5).scan(shepp_logan_phantom())
+    assert sino.data.shape == (360, 729)
+    out = assert_filter_parity(sino)
+    assert out.max_imag <= 1e-10
+
+
+@pytest.mark.parametrize("size, dtheta_deg", [(128, 4.0), (128, 2.0), (128, 1.0), (128, 0.5)])
+def test_reconstruction_matches_two_transform_route(size, dtheta_deg):
+    cfg = FbpConfig(size=size, dtheta_deg=dtheta_deg)
+    sino = cfg.scan(shepp_logan_phantom())
+    filtered = FilteredSinogram(*sino.geometry(), data=two_transform_filter(sino).real)
+    expected = backproject(filtered, size).pixels
+    recon = fbp_reconstruct(sino, cfg).pixels
+    assert np.abs(recon - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_filter_max_imag_bounds_the_operator_on_the_data_peak():
+    # max_imag is the operator's largest row sum of |Im K| times max |data|:
+    # the same for every data set of the same peak and linear in the peak.
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(4, 41))
+    mk = lambda d: Sinogram(4, 41, 0.0, 0.2, -1.0, 0.05, d)
+    bound = filter_projections(mk(data)).max_imag
+    peak = np.abs(data).max()
+    assert 0.0 < bound <= 1e-13 * peak
+    assert filter_projections(mk(-data)).max_imag == bound
+    assert filter_projections(mk(np.full((4, 41), peak))).max_imag == bound
+    assert filter_projections(mk(4.0 * data)).max_imag == 4.0 * bound
+    # the two-transform route's own residue is of the same size
+    assert np.abs(two_transform_filter(mk(data)).imag).max() <= 100 * bound
+
+
+def test_filter_holds_no_per_frequency_array():
+    # Filtering 180 angles of 257 bins must not hold a complex
+    # (4 num_bins + 1) x num_angles spectrum, as the two-transform route does.
+    sino = Sinogram(180, 257, 0.0, 0.01, -1.0, 2.0 / 256,
+                    np.random.default_rng(2).normal(size=(180, 257)))
+    spectrum_bytes = (4 * 257 + 1) * 180 * 16
+    filter_projections(sino)
+    tracemalloc.start()
+    try:
+        filter_projections(sino)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spectrum_bytes  # 0.74 of it measured; the old route peaked at 2.7
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e306, -1e306])
+def test_filter_rejects_samples_it_cannot_sum(value):
+    data = np.zeros((2, 9))
+    data[1, 4] = value
+    with pytest.raises(ValueError, match="projections must be finite"):
+        filter_projections(Sinogram(2, 9, 0.0, 0.1, -1.0, 0.25, data))
+    # 9 bins convolve at length 18, so up to 2**1020 / 18**4 ~ 1e302 is summed
+    data[1, 4] = math.copysign(1e300, value) if math.isfinite(value) else 1e300
+    with np.errstate(all="raise"):
+        assert np.isfinite(filter_projections(Sinogram(2, 9, 0.0, 0.1, -1.0, 0.25, data)).data).all()
+
+
+@pytest.mark.parametrize("t0, dt", [(-1.0, 1e-160), (1e160, 1.0), (0.0, 5e-324)])
+def test_filter_rejects_bins_past_the_closed_forms(t0, dt):
+    # |2 pi t tau| must stay below 2**511 at tau = 1/(4 n dt), as in the
+    # inverse transform to the bins; a subnormal dt makes tau infinite.
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        filter_projections(Sinogram(1, 5, 0.0, 0.1, t0, dt, np.ones((1, 5))))
+
+
+def test_filter_takes_a_band_past_the_closed_forms_where_the_bins_fit():
+    # with t0 = 0, K dt does not depend on dt
+    data = np.array([[1.0, 0.3, 0.7]])
+    with np.errstate(all="raise"):
+        tiny = filter_projections(Sinogram(1, 3, 0.0, 0.1, 0.0, 1e-300, data)).data
+    unit = filter_projections(Sinogram(1, 3, 0.0, 0.1, 0.0, 1.0, data)).data
+    np.testing.assert_allclose(tiny * 1e-300, unit, rtol=1e-14)
 
 
 # PSNR of the acceptance 08/09 runs as the dense weight matrices gave them.

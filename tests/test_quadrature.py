@@ -596,6 +596,19 @@ def test_frequency_limit_is_finite_for_both_steps():
         assert np.isfinite(error_norm(omega, h))
 
 
+@pytest.mark.parametrize("b, step", [(1e300, 1e-302), (1.5e308, 1e-307)])
+def test_apply_weights_on_nodes_near_the_float_limit(b, step):
+    # The chirp-z phases split node coordinates beyond 2**996, where the
+    # Veltkamp constant times the node would overflow, and never double one.
+    grid = UniformGrid(0.0, b, 9)
+    omegas = np.arange(-100, 101) * step
+    values = np.linspace(0.01, 0.02, 10)
+    with np.errstate(all="raise"):
+        fast = apply_weights(grid, omegas, values)
+        dense = coefficient_matrix(grid, omegas) @ values
+    assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
 def test_apply_weights_shape_validation():
     g = UniformGrid(0.0, 1.0, 4)
     for bad in (np.ones(4), np.ones((6, 2)), np.ones((5, 2, 2))):
