@@ -12,18 +12,25 @@ Riemann sum in angle and linear interpolation in detector position.
 
 Back-projection reads each angle's detector values from a lerp table by
 index arithmetic, one strip of raster rows at a time, and shares one index
-array between the angles that the square raster's symmetries relate.
+array between the angles that the square raster's symmetries relate.  The
+strips run in contiguous groups, one per CPU the process may use
+(phantom.run_strips; ``taskset -c 0`` gives a single-core run), and every
+pixel takes the same operations in the same order whatever the group count,
+so the image is the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..quadrature import TWO_PI, _fft_length, _frequencies, _interior_factor, _left_factor
-from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic
+from ..quadrature import (
+    TWO_PI, _fft_length, _frequencies, _half_turns, _interior_factor, _left_factor,
+)
+from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic, run_strips
 
 
 @dataclass(frozen=True)
@@ -145,14 +152,15 @@ def filter_projections(sino: Sinogram) -> FilteredSinogram:
     # to s; the imaginary parts leave w times f_0 - (-1)^(n-1) f_{n-1}, a
     # difference taken from the data, so equal end samples cancel exactly.
     phi = TWO_PI * bins * tau
-    s = tau * _interior_factor(phi)
+    turns = _half_turns(2.0 * tau, bins)  # phi / pi mod 2, exactly reduced
+    s = tau * _interior_factor(phi, turns)
     i = np.arange(n)
     sign = 1.0 - 2.0 * (i % 2)
     last_sign = -1.0 if n % 2 == 0 else 1.0
     beta = first_bin[0]
     end = sign * (beta.real - interior[0])
     cols = np.stack([first_col[i] + end, np.conj(first_col[n - 1 - i]) + last_sign * end])
-    w = sign * (-2.0 * tau * beta.imag) * _left_factor(phi).imag
+    w = sign * (-2.0 * tau * beta.imag) * _left_factor(phi, turns).imag
 
     kernel = np.zeros(length)
     kernel[:n] = toeplitz[:n].real
@@ -240,36 +248,44 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
 
     accum = image.pixels                # frames 0 and 2
     turned = np.zeros((size, size))     # frames 1 and 3, before [:, ::-1].T
-    strips = image.strips()
-    rows = strips[0].stop  # the first strip is the tallest
-    weight = np.empty((rows, size), dtype=complex)
-    weight.real = 1.0
-    index = np.empty((rows, size), dtype=np.intp)
-    on_last_bin = np.empty((rows, size), dtype=bool)
-    gathered = np.empty((rows, size), dtype=complex)
-    sums = np.empty((4, rows, size), dtype=complex)
-    for strip in strips:
-        r0, r1 = strip.start, strip.stop
-        h = r1 - r0
-        w, idx, hit, g, s = (
-            weight[:h], index[:h], on_last_bin[:h], gathered[:h], sums[:, :h]
-        )
-        v = w.imag
-        s[...] = 0.0
-        for o, orbit in enumerate(orbits):
-            np.add(row_terms[o, r0:r1, None], col_terms[o], out=v)
-            np.copyto(idx, v, casting="unsafe")
-            # u == n - 1 exactly is the last bin's value, not the zero slot.
-            np.equal(v, n, out=hit)
-            idx[hit] = n - 1
-            for k, frame in orbit:
-                table[k].take(idx, out=g, mode="clip")
-                g *= w
-                s[frame] += g
-        accum[r0:r1] += s[0].real
-        accum[r0:r1] += s[2].real[:, ::-1]
-        turned[r0:r1] += s[1].real
-        turned[size - r1:size - r0] += s[3].real[::-1]
+    # A strip's frame 3 lands on the mirrored strip's rows of turned, which
+    # may belong to another group.  Each element of turned takes exactly two
+    # additions to zero, which commute, so the lock's order changes no bit.
+    turned_lock = threading.Lock()
+
+    def project(strips):
+        rows = strips[0].stop - strips[0].start  # the first strip is the tallest
+        weight = np.empty((rows, size), dtype=complex)
+        weight.real = 1.0
+        index = np.empty((rows, size), dtype=np.intp)
+        on_last_bin = np.empty((rows, size), dtype=bool)
+        gathered = np.empty((rows, size), dtype=complex)
+        sums = np.empty((4, rows, size), dtype=complex)
+        for strip in strips:
+            r0, r1 = strip.start, strip.stop
+            h = r1 - r0
+            w, idx, hit, g, s = (
+                weight[:h], index[:h], on_last_bin[:h], gathered[:h], sums[:, :h]
+            )
+            v = w.imag
+            s[...] = 0.0
+            for o, orbit in enumerate(orbits):
+                np.add(row_terms[o, r0:r1, None], col_terms[o], out=v)
+                np.copyto(idx, v, casting="unsafe")
+                # u == n - 1 exactly is the last bin's value, not the zero slot.
+                np.equal(v, n, out=hit)
+                idx[hit] = n - 1
+                for k, frame in orbit:
+                    table[k].take(idx, out=g, mode="clip")
+                    g *= w
+                    s[frame] += g
+            accum[r0:r1] += s[0].real
+            accum[r0:r1] += s[2].real[:, ::-1]
+            with turned_lock:
+                turned[r0:r1] += s[1].real
+                turned[size - r1:size - r0] += s[3].real[::-1]
+
+    run_strips(image.strips(), project)
     accum += turned[:, ::-1].T
     accum *= q.dtheta
     return image

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phantom import ImageGrid, shepp_logan_phantom
+from .phantom import ImageGrid, run_strips, shepp_logan_phantom
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,12 @@ def inner_region_mask(image: ImageGrid) -> np.ndarray:
     )
     mask = np.empty((image.rows, image.cols), dtype=bool)
     xs, ys = image.axes()
-    for strip in image.strips():
-        mask[strip] = shrunk.contains(xs, ys[strip, None])
+
+    def fill(strips):
+        for strip in strips:
+            mask[strip] = shrunk.contains(xs, ys[strip, None])
+
+    run_strips(image.strips(), fill)
     return mask
 
 

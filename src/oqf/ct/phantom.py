@@ -8,6 +8,8 @@ Projections are exact chord lengths, never raster sums.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +78,46 @@ def shepp_logan_phantom(variant: str = "modified") -> EllipsePhantom:
     ))
 
 
-# Raster loops work in strips of this many pixels, so each pass's temporaries
-# cover one strip: whole-raster ones page-faulted afresh on every pass, which
-# took up to three times as long at 512^2.
+# Raster loops work in strips of this many pixels, and radon_analytic in
+# blocks of angle rows of this many samples, so each pass's temporaries cover
+# one strip: whole-array ones page-faulted afresh on every pass, which took up
+# to three times as long at 512^2.
 STRIP_PIXELS = 1 << 14
+
+
+def run_strips(parts: list, work) -> None:
+    """Run work(group) on contiguous groups of parts, one group per usable CPU.
+
+    There are as many groups as CPUs the process may run on (its affinity
+    mask, e.g. ``taskset -c 0`` for one), and never more than parts.  Group 0
+    runs on the calling thread and the rest on threads joined before this
+    returns; the first exception raised in any group is re-raised here.
+    Callers keep every output element's operations and their order the same
+    whatever the grouping, so results do not depend on the CPU count.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    count = max(1, min(cpus, len(parts)))
+    bounds = [len(parts) * g // count for g in range(count + 1)]
+    errors = []
+
+    def guarded(group):
+        try:
+            work(group)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(parts[lo:hi],))
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    guarded(parts[:bounds[1]])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -133,9 +171,13 @@ def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
         raise ValueError(f"raster size must be at least 16, got {size}")
     image = ImageGrid(size, size, np.zeros((size, size)))
     xs, ys = image.axes()
-    for strip in image.strips():
-        for e in phantom.ellipses:
-            image.pixels[strip] += e.intensity * e.contains(xs, ys[strip, None])
+
+    def paint(strips):
+        for strip in strips:
+            for e in phantom.ellipses:
+                image.pixels[strip] += e.intensity * e.contains(xs, ys[strip, None])
+
+    run_strips(image.strips(), paint)
     return image
 
 
@@ -263,6 +305,14 @@ def radon_analytic(
         data=np.zeros((num_angles, num_bins)),
     )
     thetas, ts = sino.angles(), sino.bins()
-    for e in phantom.ellipses:
-        np.add(sino.data, ellipse_projection(e, thetas[:, None], ts[None, :]), out=sino.data)
+    rows = max(1, STRIP_PIXELS // num_bins)
+    blocks = [slice(k, k + rows) for k in range(0, num_angles, rows)]
+
+    def add_chords(blocks):
+        for block in blocks:
+            data = sino.data[block]
+            for e in phantom.ellipses:
+                data += ellipse_projection(e, thetas[block, None], ts[None, :])
+
+    run_strips(blocks, add_chords)
     return sino

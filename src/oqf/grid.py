@@ -35,7 +35,11 @@ class UniformGrid:
         return (self.b - self.a) / self.n
 
     def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.n + 1)
+        """a + h k for k = 0..n, except that the last node is b where a + h n overflows."""
+        a, h, n = float(self.a), float(self.h), self.n  # Python floats overflow quietly
+        if math.isfinite(a + h * n):
+            return a + h * np.arange(n + 1)
+        return np.append(a + h * np.arange(n), self.b)
 
 
 @dataclass(frozen=True)

@@ -74,19 +74,26 @@ def _by_theta(theta, series, direct):
         return np.where(small, near, direct(theta))
 
 
-def _interior_factor(theta):
-    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
+def _interior_factor(theta, turns=None):
+    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized.
+
+    turns, if given, is theta/pi reduced mod 2 (see _half_turns); the cosine
+    then takes pi turns, so a large theta's rounding does not reach it.
+    """
+    angle = theta if turns is None else math.pi * turns
     return _by_theta(theta, lambda t: np.polyval(_INTERIOR_SERIES, t * t),
-                     lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
+                     lambda t: 2.0 * (1.0 - np.cos(angle)) / (t * t))
 
 
-def _left_factor(theta):
+def _left_factor(theta, turns=None):
     """(1 + i theta - e^{i theta})/theta^2, stable near theta = 0.  Vectorized.
 
-    Equals (e^z - 1 - z)/z^2 with z = i theta.
+    Equals (e^z - 1 - z)/z^2 with z = i theta.  turns is as in
+    _interior_factor and, if given, is what the exponential takes.
     """
+    angle = theta if turns is None else math.pi * turns
     return _by_theta(theta, lambda t: np.polyval(_LEFT_SERIES, 1j * t),
-                     lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
+                     lambda t: (1.0 + 1j * t - np.exp(1j * angle)) / (t * t))
 
 
 def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
@@ -209,13 +216,14 @@ def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
     """
     prod = rate * x
     # (2**27 + 1) rate overflows past about 1.3e300, so a rate beyond 2**996
-    # is split at 2**-28 its size and scaled back, which is exact.  x, a
-    # frequency or an index product, stays far below that.
+    # is split at 2**-28 its size and the scale moves onto x's halves, which
+    # is exact: rate's high half, rounded up, may not scale back below the
+    # float limit.  x, a frequency or an index product, stays far below that.
     scale = 2.0**28 if abs(rate) > 2.0**996 else 1.0
     rate_hi, rate_lo = _split(rate / scale)
-    rate_hi *= scale
-    rate_lo *= scale
     x_hi, x_lo = _split(x)
+    if scale != 1.0:
+        x_hi, x_lo = x_hi * scale, x_lo * scale
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
     return np.fmod(np.fmod(prod, 2.0) + err, 2.0)
 

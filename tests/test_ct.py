@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,10 +21,11 @@ from oqf.ct import (
     shepp_logan,
     shepp_logan_phantom,
 )
+from oqf.ct import phantom
 from oqf.ct.fbp import FilteredSinogram, _square_orbits
 from oqf.ct.phantom import ellipse_projection, ImageGrid, Sinogram
 from oqf.grid import SampledFunction, UniformGrid
-from oqf.quadrature import apply_weights
+from oqf.quadrature import TWO_PI, _half_turns, apply_weights
 from oqf.transform import forward_transform, inverse_transform
 
 
@@ -230,6 +233,26 @@ def test_reconstruction_matches_two_transform_route(size, dtheta_deg):
     expected = backproject(filtered, size).pixels
     recon = fbp_reconstruct(sino, cfg).pixels
     assert np.abs(recon - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("t0_bins, dt", [(1e6, 2.0**-5), (-1e6, 2.0**-5), (1e6, 0.013)])
+def test_filter_bin_phases_are_reduced_exactly(t0_bins, dt):
+    # phi_i = 2 pi t_i tau is a hundred thousand radians a million bins off
+    # centre; its cosine must see phi_i / pi reduced mod 2 as exactly as a
+    # Fraction reduction of the float bins, or s_i is off by phi_i 2**-53.
+    n = 9
+    sino = Sinogram(n, n, 0.0, 0.1, t0_bins * dt, dt, np.eye(n))
+    tau = 1.0 / (2.0 * dt) / (2 * n)
+    exact = np.array([float(Fraction(2.0 * tau) * Fraction(float(t)) % 2) for t in sino.bins()])
+    turns = _half_turns(2.0 * tau, sino.bins()) % 2.0
+    assert np.abs(turns - exact).max() <= 4 * np.finfo(float).eps
+    # An interior impulse at bin i leaves s_i T(0) on the diagonal, with T(0)
+    # the same for every bin.
+    phi = TWO_PI * tau * sino.bins()
+    s = tau * 2.0 * (1.0 - np.cos(math.pi * exact)) / (phi * phi)
+    diag = np.diag(filter_projections(sino).data)[1:-1]
+    ratio = np.median(diag / s[1:-1])
+    assert np.abs(diag - ratio * s[1:-1]).max() <= 1e-14 * np.abs(diag).max()
 
 
 def test_filter_max_imag_bounds_the_operator_on_the_data_peak():
@@ -632,3 +655,74 @@ def test_metrics_validation():
     assert image_metrics(off, off).psnr == math.inf
     with pytest.raises(ValueError, match="region 'inner' holds no pixel"):
         image_metrics(off, off, region="inner")
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make run_strips see an affinity mask of ``cpus`` CPUs."""
+    monkeypatch.setattr(phantom.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def strip_outputs():
+    """Raw bytes of every strip-run stage on rasters of one strip (16),
+    unequal strips (181: 90, 90 and 1 rows) and six strips (300), and on
+    sinograms of one angle block (3 x 101) and of five (90 x 729)."""
+    ph = shepp_logan_phantom()
+    out = {}
+    for num_angles, num_bins in ((3, 101), (90, 729)):
+        sino = radon_analytic(ph, num_angles, 180.0 / num_angles, num_bins)
+        out[f"radon_{num_angles}"] = sino.data.tobytes()
+        q = filter_projections(sino)
+        for size in (16, 181, 300):
+            out[f"backproject_{num_angles}_{size}"] = backproject(q, size).pixels.tobytes()
+    for size in (16, 181, 300):
+        raster = phantom.rasterize(ph, size)
+        out[f"rasterize_{size}"] = raster.pixels.tobytes()
+        out[f"mask_{size}"] = inner_region_mask(raster).tobytes()
+    return out
+
+
+def test_strip_outputs_do_not_depend_on_the_cpu_count(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    expected = strip_outputs()
+    for cpus in (2, 3, 64):
+        set_cpus(monkeypatch, cpus)
+        got = strip_outputs()
+        assert [k for k in expected if got[k] != expected[k]] == [], cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_run_strips_covers_every_part_once_in_contiguous_groups(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    groups = []
+    phantom.run_strips(list(range(7)), groups.append)
+    groups.sort()
+    assert len(groups) == min(cpus, 7)
+    assert [p for g in groups for p in g] == list(range(7))
+
+
+@pytest.mark.parametrize("failing_part", [0, 5])
+def test_run_strips_reraises_a_worker_error_and_joins_its_threads(monkeypatch, failing_part):
+    set_cpus(monkeypatch, 4)
+    threads = threading.active_count()
+    done = []
+
+    def work(group):
+        if failing_part in group:
+            raise KeyError(failing_part)
+        done.extend(group)
+
+    with pytest.raises(KeyError, match=str(failing_part)):
+        phantom.run_strips(list(range(8)), work)
+    assert threading.active_count() == threads
+    assert sorted(done) == [p for p in range(8) if p // 2 != failing_part // 2]
+    phantom.run_strips(list(range(8)), done.append)
+    assert threading.active_count() == threads
+
+
+def test_run_strips_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(phantom.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(phantom.os, "cpu_count", lambda: 3)
+    groups = []
+    phantom.run_strips(list(range(7)), groups.append)
+    assert sorted(map(len, groups)) == [2, 2, 3]

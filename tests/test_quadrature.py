@@ -596,17 +596,35 @@ def test_frequency_limit_is_finite_for_both_steps():
         assert np.isfinite(error_norm(omega, h))
 
 
-@pytest.mark.parametrize("b, step", [(1e300, 1e-302), (1.5e308, 1e-307)])
+@pytest.mark.parametrize("b, step", [(1e300, 1e-302), (1.5e308, 1e-307),
+                                     (1.7976931348623157e308, 1e-307)])
 def test_apply_weights_on_nodes_near_the_float_limit(b, step):
     # The chirp-z phases split node coordinates beyond 2**996, where the
     # Veltkamp constant times the node would overflow, and never double one.
+    # At b = the largest float, h * n rounds past it and the last node is b.
     grid = UniformGrid(0.0, b, 9)
     omegas = np.arange(-100, 101) * step
     values = np.linspace(0.01, 0.02, 10)
     with np.errstate(all="raise"):
         fast = apply_weights(grid, omegas, values)
         dense = coefficient_matrix(grid, omegas) @ values
+    assert np.isfinite(fast).all() and np.isfinite(dense).all()
     assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_last_node_is_b_where_a_plus_h_n_overflows():
+    top = np.finfo(float).max
+    for a, b in ((0.0, top), (-top, 0.0), (-top / 2, top / 2), (1.0, top)):
+        grid = UniformGrid(a, b, 9)
+        with np.errstate(all="raise"):
+            nodes = grid.nodes()
+        assert np.isfinite(nodes).all() and nodes[0] == a and nodes[-1] == b
+        np.testing.assert_array_equal(nodes[:-1], a + grid.h * np.arange(9))
+        assert np.all(np.diff(nodes) > 0)
+    # Wherever a + h n is finite the nodes are a + h k for every k, b or not.
+    grid = UniformGrid(0.1, 0.3, 3)
+    np.testing.assert_array_equal(grid.nodes(), 0.1 + grid.h * np.arange(4))
+    assert grid.nodes()[-1] != 0.3
 
 
 def test_apply_weights_shape_validation():
