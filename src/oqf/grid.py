@@ -25,8 +25,8 @@ class UniformGrid:
             raise ValueError(f"interval ends must be finite: a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError(f"interval end must exceed start: a={self.a}, b={self.b}")
-        if self.n < 1:
-            raise ValueError(f"need at least one subinterval, got n={self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"need an integer n >= 1 of subintervals, got n={self.n!r}")
         if not math.isfinite(self.h):
             raise ValueError(f"step (b - a)/n overflows: a={self.a}, b={self.b}")
 

@@ -129,13 +129,10 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     omegas = _frequencies(omegas, h)
     theta = TWO_PI * omegas * h
 
-    # Every node takes h I(theta) e^{2 pi i omega x}; the end nodes then take
-    # h L(theta) e^{2 pi i omega a} and h conj(L(theta)) e^{2 pi i omega b}.
-    phases = np.exp(2j * math.pi * np.outer(omegas, grid.nodes()))
+    # Every node takes h I(theta) e^{2 pi i omega x}; then the end nodes take theirs.
+    phases = np.exp(1j * math.pi * _node_turns(grid.nodes(), omegas))
     weights = (h * _interior_factor(theta))[:, None] * phases
-    left = _left_factor(theta)
-    weights[:, 0] = h * left * phases[:, 0]
-    weights[:, -1] = h * np.conj(left) * phases[:, -1]
+    weights[:, 0], weights[:, -1] = _end_weights(h, theta, phases)
     return weights[0] if scalar else weights
 
 
@@ -207,8 +204,8 @@ def _lattice_step(omegas: np.ndarray) -> float | None:
     return step if np.abs(dev, out=dev).max() <= tol else None
 
 
-def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
-    """The phase rate * x in half-turns, reduced mod 2.
+def _half_turns(rate, x) -> np.ndarray:
+    """The phase rate * x in half-turns, reduced mod 2.  rate and x broadcast.
 
     The product's rounding error is recovered exactly (Dekker's two-product)
     and added after the reduction, so the phase keeps full precision however
@@ -219,13 +216,26 @@ def _half_turns(rate: float, x: np.ndarray) -> np.ndarray:
     # is split at 2**-28 its size and the scale moves onto x's halves, which
     # is exact: rate's high half, rounded up, may not scale back below the
     # float limit.  x, a frequency or an index product, stays far below that.
-    scale = 2.0**28 if abs(rate) > 2.0**996 else 1.0
+    # Any other rate takes a scale of 1, which changes no bit.
+    scale = np.where(np.abs(rate) > 2.0**996, 2.0**28, 1.0)
     rate_hi, rate_lo = _split(rate / scale)
     x_hi, x_lo = _split(x)
-    if scale != 1.0:
-        x_hi, x_lo = x_hi * scale, x_lo * scale
+    x_hi, x_lo = x_hi * scale, x_lo * scale
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
     return np.fmod(np.fmod(prod, 2.0) + err, 2.0)
+
+
+def _node_turns(nodes: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """2 omega x in half-turns mod 2, a row per frequency and a column per node, as x
+    (2 omega): a doubled node could overflow, a doubled frequency cannot (_MAX_THETA)."""
+    return _half_turns(nodes, 2.0 * omegas[:, None])
+
+
+def _end_weights(h: float, theta: np.ndarray, phases: np.ndarray):
+    """The end nodes' weights h L(theta) e^{2 pi i omega a} and h conj(L(theta))
+    e^{2 pi i omega b}, from the first and last columns of the node phases."""
+    left = _left_factor(theta)
+    return h * left * phases[:, 0], h * np.conj(left) * phases[:, -1]
 
 
 def _split(a):
@@ -269,49 +279,39 @@ def _apply_chirp(
     convolution runs on the line omega_c + p * step.  ``omegas`` is a block
     of a lattice within _UNIFORM_ULPS ulps of its own line with this step, so
     the block may miss its line by twice that, and an interior term's phase
-    can be off by 2 pi * 8 ulp(max|omega|) * |x_j - x_c|: the same scale as
-    the rounding of omega * x in coefficient_matrix.
+    can be off by 2 pi * 8 ulp(max|omega|) * |x_j - x_c|.
     """
     m, n, h = omegas.size, grid.n, grid.h
     cols = values.reshape(n + 1, -1).T  # one row per column of values
-    nodes = grid.nodes()
     theta = TWO_PI * omegas * h
-    left = _left_factor(theta)
-
-    # 2 x omega in half-turns is taken as x (2 omega): doubling a node could
-    # overflow, doubling a frequency cannot (see _MAX_THETA), and the phase
-    # is the same bit for bit.
-    twice = 2.0 * omegas
-    first = h * left * np.exp(1j * math.pi * _half_turns(nodes[0], twice))
-    last = h * np.conj(left) * np.exp(1j * math.pi * _half_turns(nodes[-1], twice))
-    out = cols[:, [0, -1]] @ np.stack([first, last])
+    turns = _node_turns(grid.nodes()[[0, n // 2, -1]], omegas)
+    ends = _end_weights(h, theta, np.exp(1j * math.pi * turns[:, [0, -1]]))
+    out = cols[:, [0, -1]] @ np.stack(ends)
 
     if n > 1:
-        rate = step * h
-        jc = n // 2
-        q = np.arange(1, n, dtype=np.int64) - jc
+        q = np.arange(1, n, dtype=np.int64) - n // 2
         p = np.arange(m, dtype=np.int64) - m // 2
         lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
         nfft = _fft_length(lags.size)
+        # Both index ranges hold 0, so no |q| or |p| passes max|lag|, and one
+        # table of b k^2 in half-turns serves all three chirps.
+        squares = _half_turns(step * h, np.arange(max(-lags[0], lags[-1]) + 1.0) ** 2)
 
-        pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float))
-        pre += _half_turns(rate, (q * q).astype(float))
-        chirp = np.exp(-1j * math.pi * _half_turns(rate, (lags * lags).astype(float)))
+        pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float)) + squares[np.abs(q)]
+        chirp = np.exp(-1j * math.pi * squares[np.abs(lags)])
         buf = np.zeros((cols.shape[0], nfft), dtype=complex)
         np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
         np.fft.fft(buf, out=buf)
         buf *= np.fft.fft(chirp, nfft)
         conv = np.fft.ifft(buf, out=buf)[:, q.size - 1 : q.size - 1 + m]
 
-        post = _half_turns(nodes[jc], twice) + _half_turns(rate, (p * p).astype(float))
+        post = turns[:, 1] + squares[np.abs(p)]
         conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)
         out += conv
 
     # Exact omega == 0 gives the exact trapezoid sum, which is what
     # coefficient_matrix's weights reduce to there.
-    zero = omegas == 0.0
-    if np.any(zero):
-        out[:, zero] = (cols @ _trapezoid_weights(grid))[:, None]
+    out[:, omegas == 0.0] = (cols @ _trapezoid_weights(grid))[:, None]
     return out.T.reshape(omegas.shape + values.shape[1:])
 
 

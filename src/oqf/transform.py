@@ -17,7 +17,7 @@ from .quadrature import apply_weights, monomial_fourier_integral
 
 @dataclass(frozen=True)
 class SpectrumSamples:
-    """Approximate Fourier transform values on a set of frequencies."""
+    """Approximate Fourier transform values on a strictly monotone set of frequencies."""
 
     omegas: np.ndarray
     values: np.ndarray
@@ -27,8 +27,8 @@ class SpectrumSamples:
         values = np.asarray(self.values, dtype=complex)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise ValueError("frequency and value arrays must be 1-d and equal length")
-        if not np.all(omegas[1:] > omegas[:-1]):
-            raise ValueError("frequencies must be strictly increasing")
+        if not (np.all(omegas[1:] > omegas[:-1]) or np.all(omegas[1:] < omegas[:-1])):
+            raise ValueError("frequencies must be strictly increasing or strictly decreasing")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def test_grid_invariants():
         UniformGrid(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         UniformGrid(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, np.True_, float("nan"), "4", None])
+def test_grid_subinterval_count_must_be_an_integer(n):
+    # n = 2.5 would put the last node at 1.2, past b, and NaN is not below 1.
+    with pytest.raises(ValueError, match="integer n >= 1"):
+        UniformGrid(0.0, 1.0, n)
+
+
+def test_grid_takes_numpy_integer_counts():
+    assert UniformGrid(0.0, 1.0, np.int64(4)).h == 0.25
 
 
 def test_trapezoid_limit():
@@ -612,6 +624,42 @@ def test_apply_weights_on_nodes_near_the_float_limit(b, step):
     assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+def test_half_turns_broadcasts_to_the_scalar_bits():
+    # One call over rates x frequencies gives, bit for bit, one scalar-rate call
+    # per rate: ordinary rates, rates past 2**996 (the split branch) and the
+    # nodes of the grids near the float limit.
+    rates = [np.array([0.0, -0.7, 1.9, 1000.0, -3.5e12, 2.0**996, -2.0**997, 1e300])]
+    omegas = [np.linspace(-0.3, 7.1, 13)]
+    for b, step in ((1e300, 1e-302), (1.5e308, 1e-307), (1.7976931348623157e308, 1e-307)):
+        rates.append(UniformGrid(0.0, b, 9).nodes())
+        omegas.append(np.arange(-100, 101) * step)
+    for rate, omega in zip(rates, omegas):
+        with np.errstate(all="raise"):
+            both = quadrature._half_turns(rate[:, None], 2.0 * omega)
+            rows = [quadrature._half_turns(float(r), 2.0 * omega) for r in rate]
+        np.testing.assert_array_equal(both.view(np.uint64), np.array(rows).view(np.uint64))
+        assert np.all(np.abs(both) < 2.0)
+
+
+@pytest.mark.parametrize("omega", [1e4 + 0.37, 1e4 + 0.61, -(1e5 + 0.23)])
+def test_dense_weights_take_exactly_reduced_node_phases(omega):
+    # 10^7 to 10^8 cycles over [0, 1000] with omega h not an integer: the
+    # weights follow the closed form with the node phases reduced in
+    # rationals, then taken by cos and sin in floats.  Phases from the rounded
+    # product omega x would be about 4e-9 of sum |w| off.
+    grid = UniformGrid(0.0, 1000.0, 2000)
+    h = grid.h
+    weights = coefficient_matrix(grid, omega)
+    turns = np.array([float(Fraction(2.0 * omega) * Fraction(x) % 2)
+                      for x in grid.nodes().tolist()])
+    phases = np.cos(math.pi * turns) + 1j * np.sin(math.pi * turns)
+    theta = np.array([TWO_PI * omega * h])
+    expected = h * quadrature._interior_factor(theta) * phases
+    left = quadrature._left_factor(theta)[0]
+    expected[0], expected[-1] = h * left * phases[0], h * np.conj(left) * phases[-1]
+    assert np.abs(weights - expected).max() <= 1e-15 * np.abs(weights).sum()
+
+
 def test_last_node_is_b_where_a_plus_h_n_overflows():
     top = np.finfo(float).max
     for a, b in ((0.0, top), (-top, 0.0), (-top / 2, top / 2), (1.0, top)):
@@ -654,11 +702,9 @@ def test_apply_weights_properties(a, length, n, m, theta_max, start, chirp, seed
     * (b - a), for |a| <= 50, b - a in [0.1, 5], |theta| = 2 pi |omega| h up
     to 3 SMALL_THETA and |omega x| up to 1000 cycles; over 3000 random cases
     there the worst was 2.3e-13.  Past that range the phase-precision limit
-    takes over.  The phase 2 pi omega x itself rounds by up to 2 pi eps |omega x|
-    (at 7650 cycles the dense path reached 9.0e-13), and the chirp sum runs on
-    a straight line within 4 ulps of the lattice, so a term's phase may be off
-    by 2 pi * 4 ulp(max|omega|) * |x - x_c| (see
-    test_apply_weights_phase_precision_limit).
+    takes over: the chirp sum runs on a straight line within 4 ulps of the
+    lattice, so a term's phase may be off by 2 pi * 4 ulp(max|omega|) *
+    |x - x_c| (see test_apply_weights_phase_precision_limit).
     """
     rng = np.random.default_rng(seed)
     grid = UniformGrid(a, a + length, n)

@@ -157,6 +157,18 @@ def test_error_sweep_decay_with_frequency():
 def test_spectrum_requires_increasing_frequencies():
     with pytest.raises(ValueError):
         SpectrumSamples(np.array([0.0, 0.0, 1.0]), np.zeros(3, dtype=complex))
+    for omegas in ([0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [2.0, 1.0, 3.0]):
+        with pytest.raises(ValueError, match="strictly increasing or strictly decreasing"):
+            SpectrumSamples(np.array(omegas), np.zeros(3, dtype=complex))
+
+
+def test_forward_transform_on_a_decreasing_lattice_is_the_increasing_one_reversed():
+    g = UniformGrid(-2.0, 2.0, 40)
+    f = SampledFunction(g, np.exp(-g.nodes() ** 2) + 0.5j * g.nodes())
+    rising = forward_transform(f, np.linspace(-1.0, 1.0, 5))
+    falling = forward_transform(f, np.linspace(1.0, -1.0, 5))
+    np.testing.assert_array_equal(falling.omegas, rising.omegas[::-1])
+    np.testing.assert_allclose(falling.values, rising.values[::-1], rtol=1e-12, atol=0)
 
 
 def test_transforms_match_dense_weight_route():
