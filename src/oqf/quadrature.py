@@ -60,18 +60,29 @@ _CHIRP_BLOCK = 1 << 14
 _UNIFORM_ULPS = 4
 
 
-def _by_theta(theta, series, direct):
-    """series(t) where |theta| < SMALL_THETA, direct(theta) elsewhere.  Vectorized.
+def _by_theta(theta, series, direct, *args):
+    """series(t) where |theta| < SMALL_THETA, direct(t, *args) elsewhere.  Vectorized.
 
-    The series sees theta zeroed outside its range, where its top power would
-    overflow above about 1e17.  The direct form's 0/0 at theta = 0, and its
-    overflow where theta^2 underflows, only reach entries the series replaces.
+    Each form runs only on its own entries of theta and of args, arrays
+    aligned with theta, and not at all where it has none: the series' top
+    power would overflow above about 1e17, and the direct forms divide by
+    theta^2.  A direct form's overflow, or its division by a square that
+    underflows (error_norm at a very large step), gives inf without a warning.
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
-    near = series(np.where(small, theta, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(small, near, direct(theta))
+    count = np.count_nonzero(small)
+    if count == theta.size:
+        return series(theta)
+    with np.errstate(divide="ignore", over="ignore"):
+        if count == 0:
+            return direct(theta, *args)
+        near, far = small.nonzero(), (~small).nonzero()
+        wide = direct(theta[far], *(np.asarray(a)[far] for a in args))
+    out = np.empty(theta.shape, dtype=wide.dtype)
+    out[far] = wide
+    out[near] = series(theta[near])
+    return out
 
 
 def _interior_factor(theta, turns=None):
@@ -82,7 +93,7 @@ def _interior_factor(theta, turns=None):
     """
     angle = theta if turns is None else math.pi * turns
     return _by_theta(theta, lambda t: np.polyval(_INTERIOR_SERIES, t * t),
-                     lambda t: 2.0 * (1.0 - np.cos(angle)) / (t * t))
+                     lambda t, a: 2.0 * (1.0 - np.cos(a)) / (t * t), angle)
 
 
 def _left_factor(theta, turns=None):
@@ -93,7 +104,7 @@ def _left_factor(theta, turns=None):
     """
     angle = theta if turns is None else math.pi * turns
     return _by_theta(theta, lambda t: np.polyval(_LEFT_SERIES, 1j * t),
-                     lambda t: (1.0 + 1j * t - np.exp(1j * angle)) / (t * t))
+                     lambda t, a: (1.0 + 1j * t - np.exp(1j * a)) / (t * t), angle)
 
 
 def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
@@ -222,7 +233,19 @@ def _half_turns(rate, x) -> np.ndarray:
     x_hi, x_lo = _split(x)
     x_hi, x_lo = x_hi * scale, x_lo * scale
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
-    return np.fmod(np.fmod(prod, 2.0) + err, 2.0)
+    return _mod2(_mod2(prod) + err)
+
+
+def _mod2(v):
+    """np.fmod(v, 2.0), bit for bit on finite v, at a cost that does not grow with |v|.
+
+    half = trunc(v/2) is taken as trunc(trunc(v)/2), which halves no subnormal
+    (that would underflow).  Below 2, half is 0; from 2 up, 2 half has v's sign
+    and lies within a factor of 2 of v, so v - 2 half is exact (Sterbenz).
+    copysign gives a zero fmod's sign.
+    """
+    half = np.trunc(0.5 * np.trunc(v))
+    return np.copysign(v - (half + half), v)
 
 
 def _node_turns(nodes: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -298,7 +321,7 @@ def _apply_chirp(
         squares = _half_turns(step * h, np.arange(max(-lags[0], lags[-1]) + 1.0) ** 2)
 
         pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float)) + squares[np.abs(q)]
-        chirp = np.exp(-1j * math.pi * squares[np.abs(lags)])
+        chirp = np.exp(-1j * math.pi * squares)[np.abs(lags)]
         buf = np.zeros((cols.shape[0], nfft), dtype=complex)
         np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
         np.fft.fft(buf, out=buf)
@@ -313,6 +336,16 @@ def _apply_chirp(
     # coefficient_matrix's weights reduce to there.
     out[:, omegas == 0.0] = (cols @ _trapezoid_weights(grid))[:, None]
     return out.T.reshape(omegas.shape + values.shape[1:])
+
+
+def _polyval_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(row, x) for every row of coeffs (highest degree first) in one
+    Horner pass, with np.polyval's steps, so bit for bit."""
+    y = np.zeros((coeffs.shape[0], x.size), dtype=complex)
+    for column in coeffs.T:
+        y *= x
+        y += column[:, None]
+    return y
 
 
 def error_norm(omegas, h: float):
@@ -330,7 +363,8 @@ def error_norm(omegas, h: float):
     norm_sq = _by_theta(
         TWO_PI * omegas * h,
         lambda t: h * h * np.polyval(_NORM_SERIES, t * t),
-        lambda t: (1.0 - _interior_factor(t)) / (TWO_PI * omegas) ** 2,
+        lambda t, om: (1.0 - _interior_factor(t)) / (TWO_PI * om) ** 2,
+        omegas,
     )
     return float(norm_sq[0]) if scalar else norm_sq
 
@@ -364,7 +398,8 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
     falling = (-1.0) ** k * np.array([float(math.perm(alpha, i)) for i in k])
     w = 1.0 / zs
     # S(x) by Horner in w = 1/z, from the smallest term up.
-    s_b, s_a = (w * np.polyval((falling * x ** (alpha - k))[::-1], w) for x in (b, a))
+    coeffs = np.array([(falling * x ** (alpha - k))[::-1] for x in (b, a)])
+    s_b, s_a = w * _polyval_rows(coeffs, w)
     out[big] = np.exp(zs * b) * s_b - np.exp(zs * a) * s_a
 
     # |zr| <= max(1, alpha)/2, whose K-th power over K! is below 1e-20 for
@@ -372,11 +407,12 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
     zs = z[~big]
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     k = np.arange(24 + 2 * alpha)
+    j = np.arange(alpha + 1)[:, None]
     inv_factorials = np.array([1.0 / math.factorial(i) for i in k])
+    series = np.where((j + k) % 2 == 0, 2.0 * inv_factorials / (j + k + 1), 0.0)
+    scales = [math.comb(alpha, i) * c ** (alpha - i) * r ** (i + 1) for i in range(alpha + 1)]
     total = np.zeros(zs.shape, dtype=complex)
-    for j in range(alpha + 1):
-        series = np.where((j + k) % 2 == 0, 2.0 * inv_factorials / (j + k + 1), 0.0)
-        scale = math.comb(alpha, j) * c ** (alpha - j) * r ** (j + 1)
-        total += scale * np.polyval(series[::-1], zs * r)
+    for scale, poly in zip(scales, _polyval_rows(series[:, ::-1], zs * r)):
+        total += scale * poly
     out[~big] = np.exp(zs * c) * total
     return complex(out[0]) if np.ndim(omegas) == 0 else out

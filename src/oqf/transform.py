@@ -15,6 +15,16 @@ from .grid import SampledFunction, UniformGrid
 from .quadrature import apply_weights, monomial_fourier_integral
 
 
+def _monotone(omegas) -> np.ndarray:
+    """omegas as a float array, or ValueError unless 1-d and strictly monotone."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"frequencies must be 1-d, got shape {omegas.shape}")
+    if not (np.all(omegas[1:] > omegas[:-1]) or np.all(omegas[1:] < omegas[:-1])):
+        raise ValueError("frequencies must be strictly increasing or strictly decreasing")
+    return omegas
+
+
 @dataclass(frozen=True)
 class SpectrumSamples:
     """Approximate Fourier transform values on a strictly monotone set of frequencies."""
@@ -23,12 +33,10 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
+        omegas = _monotone(self.omegas)
         values = np.asarray(self.values, dtype=complex)
-        if omegas.shape != values.shape or omegas.ndim != 1:
+        if omegas.shape != values.shape:
             raise ValueError("frequency and value arrays must be 1-d and equal length")
-        if not (np.all(omegas[1:] > omegas[:-1]) or np.all(omegas[1:] < omegas[:-1])):
-            raise ValueError("frequencies must be strictly increasing or strictly decreasing")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 
@@ -56,9 +64,10 @@ class QuadratureErrorRecord:
 def forward_transform(samples: SampledFunction, omegas) -> SpectrumSamples:
     """Approximate F(omega) = int e^{-2 pi i omega x} f(x) dx from samples.
 
-    The function is taken to vanish outside the sample interval.
+    The function is taken to vanish outside the sample interval.  The
+    frequencies must be 1-d and strictly monotone, as in SpectrumSamples.
     """
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _monotone(omegas)
     return SpectrumSamples(omegas, apply_weights(samples.grid, -omegas, samples.values))
 
 
@@ -117,7 +126,8 @@ def _monomial_errors(
     grid = UniformGrid(a, b, n)
     approx = apply_weights(grid, omegas, truncated_monomial_samples(alpha, grid))
     errors = monomial_fourier_integral(alpha, omegas, -1.0, 1.0) - approx
+    h = grid.h
     return [
-        QuadratureErrorRecord(alpha, float(om), a, b, grid.h, complex(err))
-        for om, err in zip(omegas, errors)
+        QuadratureErrorRecord(alpha, om, a, b, h, err)
+        for om, err in zip(omegas.tolist(), errors.tolist())
     ]

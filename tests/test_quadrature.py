@@ -229,15 +229,30 @@ def test_monomial_integral_against_quadrature_oracle():
         assert abs(value - numeric) < 1e-9 * max(1.0, abs(numeric))
 
 
+def _same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
 def test_monomial_integral_array_matches_elementwise_calls():
     omegas = np.array([-3.1, -0.2, -0.0, 0.0, 1e-9, 0.05, 0.4, 2.9, 40.0])
-    for alpha in (0, 1, 2, 5, 8):
+    rng = np.random.default_rng(8)
+    for alpha in range(9):
         for a, b in ((-1.0, 1.0), (-1.5, 2.0), (3.0, 3.5)):
             values = monomial_fourier_integral(alpha, omegas, a, b)
             assert values.shape == omegas.shape
             singles = [monomial_fourier_integral(alpha, om, a, b) for om in omegas]
             assert all(isinstance(v, complex) for v in singles)
             np.testing.assert_array_equal(values, singles)
+        # One Horner pass over the rows of the closed form's two (alpha + 1)-term
+        # polynomials, and of the series' alpha + 1 polynomials of 24 + 2 alpha
+        # terms, equals one np.polyval call per row, bit for bit.
+        x = rng.normal(size=7) + 1j * rng.normal(size=7)
+        for rows in (2, alpha + 1):
+            coeffs = rng.normal(size=(rows, alpha + 1 if rows == 2 else 24 + 2 * alpha))
+            batched = quadrature._polyval_rows(coeffs, x)
+            _same_bits(batched, np.array([np.polyval(row, x) for row in coeffs]))
 
 
 def test_monomial_conjugate_symmetry():
@@ -406,6 +421,83 @@ def test_series_branches_equal_numpy_polynomial_polyval():
         theta = TWO_PI * omega * h
         expected = h * h * float(polyval(theta * theta, quadrature._NORM_SERIES[::-1]))
         assert error_norm(omega, h) == expected
+
+
+def _two_branch(theta, series, direct):
+    # Reference: both forms on every entry, the series on theta zeroed outside
+    # its range, then np.where picks one per entry.
+    small = np.abs(theta) < SMALL_THETA
+    near = series(np.where(small, theta, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(small, near, direct(theta))
+
+
+def _interior_two_branch(theta, turns=None):
+    angle = theta if turns is None else math.pi * turns
+    return _two_branch(theta, lambda t: np.polyval(quadrature._INTERIOR_SERIES, t * t),
+                       lambda t: 2.0 * (1.0 - np.cos(angle)) / (t * t))
+
+
+def _left_two_branch(theta, turns=None):
+    angle = theta if turns is None else math.pi * turns
+    return _two_branch(theta, lambda t: np.polyval(quadrature._LEFT_SERIES, 1j * t),
+                       lambda t: (1.0 + 1j * t - np.exp(1j * angle)) / (t * t))
+
+
+def _error_norm_two_branch(omegas, h):
+    return _two_branch(TWO_PI * omegas * h,
+                       lambda t: h * h * np.polyval(quadrature._NORM_SERIES, t * t),
+                       lambda t: (1.0 - _interior_two_branch(t)) / (TWO_PI * omegas) ** 2)
+
+
+def _around(edge):
+    """0, +-edge and their neighbours on either side."""
+    near = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    return [0.0, -0.0] + near + [-x for x in near]
+
+
+@pytest.mark.parametrize("thetas", [
+    np.concatenate([_around(SMALL_THETA), np.linspace(-3.0, 3.0, 41)]),
+    np.concatenate([np.linspace(0.5, 40.0, 23), -np.geomspace(0.5, 1e12, 17)]),
+    np.concatenate([[0.0, 1e-300, -1e-9], np.linspace(-0.49, 0.49, 19)]),
+], ids=["both", "direct_only", "series_only"])
+def test_each_entry_takes_one_branch_with_the_two_branch_bits(thetas):
+    turns = np.fmod(thetas / math.pi, 2.0)
+    for turn in (None, turns):
+        _same_bits(quadrature._interior_factor(thetas, turn), _interior_two_branch(thetas, turn))
+        _same_bits(quadrature._left_factor(thetas, turn), _left_two_branch(thetas, turn))
+    for h in (0.125, 3.0):
+        omegas = thetas / (TWO_PI * h)
+        if (np.abs(thetas) < SMALL_THETA).any():  # the branch edge in omega
+            omegas = np.concatenate([omegas, _around(SMALL_THETA / (TWO_PI * h))])
+        _same_bits(error_norm(omegas, h), _error_norm_two_branch(omegas, h))
+
+
+def _mod2_inputs():
+    info = np.finfo(float)
+    values = [0.0, info.smallest_subnormal, np.nextafter(info.smallest_normal, 0.0),
+              info.smallest_normal, 1e-300, 1e300, info.max, 2.0**52, 2.0**53,
+              np.nextafter(2.0**53, 0.0), np.nextafter(2.0**53, np.inf)]
+    for k in range(1, 40):
+        values += [2.0 * k, np.nextafter(2.0 * k, 0.0), np.nextafter(2.0 * k, np.inf),
+                   k - 0.5, 0.5 * k, 2.0**k + 0.5]
+    rng = np.random.default_rng(17)
+    values += list(rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-320, 308, 200))
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_mod2_is_fmod_bit_for_bit_at_any_magnitude():
+    v = _mod2_inputs()
+    _same_bits(quadrature._mod2(v), np.fmod(v, 2.0))
+    for x in v:
+        # Wherever np.fmod raises nothing, neither does the reduction.
+        with np.errstate(all="raise"):
+            try:
+                np.fmod(x, 2.0)
+            except FloatingPointError:
+                continue
+            quadrature._mod2(x)
 
 
 def _dense_apply(grid, omegas, values, rows=256):

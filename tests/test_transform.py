@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from oqf import transform
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.quadrature import coefficient_matrix, error_norm, monomial_fourier_integral
 from oqf.transform import (
@@ -160,6 +162,18 @@ def test_spectrum_requires_increasing_frequencies():
     for omegas in ([0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [2.0, 1.0, 3.0]):
         with pytest.raises(ValueError, match="strictly increasing or strictly decreasing"):
             SpectrumSamples(np.array(omegas), np.zeros(3, dtype=complex))
+
+
+def test_forward_transform_checks_its_lattice_before_any_weight_is_applied():
+    f = SampledFunction(UniformGrid(0.0, 1.0, 8), np.ones(9))
+    with mock.patch.object(transform, "apply_weights", wraps=transform.apply_weights) as spy:
+        with pytest.raises(ValueError, match="strictly increasing or strictly decreasing"):
+            forward_transform(f, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="1-d"):
+            forward_transform(f, 0.5)
+        assert spy.call_count == 0
+        forward_transform(f, [0.0, 1.0])
+        assert spy.call_count == 1
 
 
 def test_forward_transform_on_a_decreasing_lattice_is_the_increasing_one_reversed():
