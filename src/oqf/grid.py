@@ -8,6 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """ValueError naming ``name`` unless value is a Python or numpy integer
+    (not a bool) with low <= value, and value <= high when high is given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"need an integer {name} {bounds}, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """An interval [a, b] with n+1 equispaced nodes.
@@ -25,8 +34,7 @@ class UniformGrid:
             raise ValueError(f"interval ends must be finite: a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError(f"interval end must exceed start: a={self.a}, b={self.b}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"need an integer n >= 1 of subintervals, got n={self.n!r}")
+        check_integer("n", self.n, 1)
         if not math.isfinite(self.h):
             raise ValueError(f"step (b - a)/n overflows: a={self.a}, b={self.b}")
 

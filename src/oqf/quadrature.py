@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grid import UniformGrid
+from .grid import UniformGrid, check_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -201,11 +201,13 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
 
 
 def _lattice_step(omegas: np.ndarray) -> float | None:
-    """The step of a lattice uniform to rounding, or None."""
+    """The non-zero step of a lattice uniform to rounding, or None."""
     m = omegas.size
     if m < 2:
         return None
     step = (omegas[-1] - omegas[0]) / (m - 1)
+    if step == 0:  # constant: the dense rows for one frequency are bit-equal
+        return None
     # |omegas - line| in one temporary, which bounds a long lattice's working set
     dev = np.arange(-(m // 2), m - m // 2, dtype=float)
     dev *= step
@@ -385,8 +387,7 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
     Against a 40-digit quadrature both branches stay within 2.1e-15 of
     int_a^b |x|^alpha dx for alpha <= 8.
     """
-    if alpha < 0:
-        raise ValueError(f"monomial degree must be nonnegative, got {alpha}")
+    check_integer("alpha", alpha, 0)
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError(f"interval must be finite with end above start: a={a}, b={b}")
     z = 2j * math.pi * _frequencies(omegas, b - a)

@@ -8,10 +8,11 @@ evaluation point, so the weight frequency parameter is the output abscissa.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, check_integer
 from .quadrature import apply_weights, monomial_fourier_integral
 
 
@@ -41,15 +42,10 @@ class SpectrumSamples:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class QuadratureErrorRecord:
+class QuadratureErrorRecord(NamedTuple):
     """Quadrature error for a truncated monomial at one frequency."""
 
-    alpha: int
     omega: float
-    a: float
-    b: float
-    h: float
     error: complex
 
     @property
@@ -80,13 +76,6 @@ def inverse_transform(spectrum: SampledFunction, xs) -> np.ndarray:
     return apply_weights(spectrum.grid, xs, spectrum.values)
 
 
-def truncated_monomial_samples(alpha: int, grid: UniformGrid) -> np.ndarray:
-    """Samples of x^alpha restricted to the closed interval [-1, 1], zero outside."""
-    xs = grid.nodes()
-    inside = (xs >= -1.0) & (xs <= 1.0)
-    return np.where(inside, xs**alpha, 0.0).astype(complex)
-
-
 def quadrature_error_monomial(
     alpha: int, omega: float, interval: tuple[float, float], n: int
 ) -> QuadratureErrorRecord:
@@ -108,8 +97,7 @@ def error_sweep(
     omega_count: int,
 ) -> list[QuadratureErrorRecord]:
     """Quadrature errors on an equispaced frequency lattice (endpoints included)."""
-    if omega_count < 2:
-        raise ValueError(f"need at least 2 lattice points, got {omega_count}")
+    check_integer("omega_count", omega_count, 2)
     return _monomial_errors(
         alpha, interval, n, np.linspace(omega_min, omega_max, omega_count)
     )
@@ -118,16 +106,14 @@ def error_sweep(
 def _monomial_errors(
     alpha: int, interval: tuple[float, float], n: int, omegas: np.ndarray
 ) -> list[QuadratureErrorRecord]:
-    if alpha not in (0, 1, 2):
-        raise ValueError(f"monomial degree must be 0, 1 or 2, got {alpha}")
+    check_integer("alpha", alpha, 0, 2)
     a, b = interval
     if a > -1.0 or b < 1.0:
         raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
     grid = UniformGrid(a, b, n)
-    approx = apply_weights(grid, omegas, truncated_monomial_samples(alpha, grid))
+    # x^alpha on the closed interval [-1, 1], zero outside
+    xs = grid.nodes()
+    samples = np.where((xs >= -1.0) & (xs <= 1.0), xs**alpha, 0.0).astype(complex)
+    approx = apply_weights(grid, omegas, samples)
     errors = monomial_fourier_integral(alpha, omegas, -1.0, 1.0) - approx
-    h = grid.h
-    return [
-        QuadratureErrorRecord(alpha, om, a, b, h, err)
-        for om, err in zip(omegas.tolist(), errors.tolist())
-    ]
+    return list(map(QuadratureErrorRecord, omegas.tolist(), errors.tolist()))

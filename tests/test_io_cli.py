@@ -155,8 +155,7 @@ def test_csv_writers_match_per_row_formatting_across_blocks(tmp_path, monkeypatc
     assert path.read_text() == _per_row_csv(
         "beta,re,im", lambda b, v: f"{b},{v.real:.17g},{v.imag:.17g}", range(rows), values)
 
-    records = [transform.QuadratureErrorRecord(2, float(x), -1.0, 1.0, 0.1, complex(v))
-               for x, v in zip(xs, values)]
+    records = [transform.QuadratureErrorRecord(float(x), complex(v)) for x, v in zip(xs, values)]
     oqfio.write_sweep_csv(path, records)
     assert path.read_text() == _per_row_csv(
         "omega,abs_re_err,abs_im_err",

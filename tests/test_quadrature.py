@@ -567,6 +567,21 @@ def test_apply_weights_non_uniform_lattice_is_dense_bit_for_bit():
         )
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0, -2.37])
+@pytest.mark.parametrize("m", [2, 3])
+def test_apply_weights_constant_lattice_is_dense_bit_for_bit(m, omega):
+    # A lattice of one repeated frequency has step 0; a chirp-z sum with
+    # that step gave each row different last bits.
+    rng = np.random.default_rng(5)
+    grid = UniformGrid(-1.0, 1.0, 20)
+    values = rng.normal(size=21) + 1j * rng.normal(size=21)
+    omegas = np.full(m, omega)
+    assert quadrature._lattice_step(omegas) is None
+    rows = apply_weights(grid, omegas, values)
+    np.testing.assert_array_equal(rows, np.full(m, rows[0]))
+    np.testing.assert_array_equal(rows, coefficient_matrix(grid, omegas) @ values)
+
+
 def test_apply_weights_dense_blocks_equal_whole_matrix(monkeypatch):
     rng = np.random.default_rng(8)
     grid = UniformGrid(0.0, 3.0, 50)

@@ -137,9 +137,38 @@ def test_error_sweep_rows_match_single_frequency_errors():
         records = error_sweep(alpha, (-3.0, 3.0), 60, -4.0, 4.0, 17)
         for rec in records:
             single = quadrature_error_monomial(alpha, rec.omega, (-3.0, 3.0), 60)
-            assert (single.alpha, single.omega, single.a, single.b, single.h) == (
-                rec.alpha, rec.omega, rec.a, rec.b, rec.h)
+            assert single.omega == rec.omega
             assert abs(single.error - rec.error) <= 1e-12
+
+
+def test_error_record_is_omega_and_error():
+    rec = transform.QuadratureErrorRecord(0.5, complex(-3.0, 0.25))
+    assert transform.QuadratureErrorRecord._fields == ("omega", "error")
+    assert (rec.omega, rec.error) == (0.5, complex(-3.0, 0.25))
+    assert (rec.abs_real_error, rec.abs_imag_error) == (3.0, 0.25)
+    assert not hasattr(transform, "truncated_monomial_samples")
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda v: monomial_fourier_integral(v, 1.0, -1.0, 1.0)),
+    ("alpha", lambda v: error_sweep(v, (-1.0, 1.0), 10, -1.0, 1.0, 5)),
+    ("omega_count", lambda v: error_sweep(2, (-1.0, 1.0), 10, -1.0, 1.0, v)),
+], ids=["monomial_alpha", "sweep_alpha", "omega_count"])
+def test_degrees_and_counts_must_be_integers(name, call, bad):
+    with pytest.raises(ValueError, match=f"integer {name}"):
+        call(bad)
+
+
+def test_degrees_and_counts_take_numpy_integers():
+    assert monomial_fourier_integral(np.int64(3), 1.0, -1.0, 1.0) == (
+        monomial_fourier_integral(3, 1.0, -1.0, 1.0))
+    assert error_sweep(np.int64(2), (-1.0, 1.0), 10, -1.0, 1.0, np.int64(5)) == (
+        error_sweep(2, (-1.0, 1.0), 10, -1.0, 1.0, 5))
+    for call in (lambda: monomial_fourier_integral(-1, 1.0, -1.0, 1.0),
+                 lambda: error_sweep(2, (-1.0, 1.0), 10, -1.0, 1.0, 1)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
 
 def test_error_sweep_zero_frequency_row_exact():
