@@ -42,12 +42,14 @@ class UniformGrid:
     def h(self) -> float:
         return (self.b - self.a) / self.n
 
-    def nodes(self) -> np.ndarray:
-        """a + h k for k = 0..n, except that the last node is b where a + h n overflows."""
+    def nodes(self, index=None) -> np.ndarray:
+        """a + h k for k = 0..n, or for the node indices k given, except that
+        the last node is b where a + h n overflows."""
         a, h, n = float(self.a), float(self.h), self.n  # Python floats overflow quietly
+        k = np.arange(n + 1) if index is None else np.asarray(index)
         if math.isfinite(a + h * n):
-            return a + h * np.arange(n + 1)
-        return np.append(a + h * np.arange(n), self.b)
+            return a + h * k
+        return np.where(k < n, a + h * np.minimum(k, n - 1), self.b)
 
 
 @dataclass(frozen=True)

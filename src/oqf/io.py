@@ -141,9 +141,15 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     step = (xs_arr[-1] - xs_arr[0]) / (len(xs_arr) - 1)
     if step <= 0:
         raise FormatError(f"{path}: abscissae must be increasing")
-    expected = xs_arr[0] + step * np.arange(len(xs_arr))
-    dev = np.abs(xs_arr - expected)
-    bad = np.nonzero(dev > UNIFORM_RTOL * max(abs(step), np.abs(xs_arr).max()))[0]
+    # |xs - (xs[0] + step k)| in one temporary, so a long table is not held
+    # several times over
+    dev = np.arange(len(xs_arr), dtype=float)
+    dev *= step
+    dev += xs_arr[0]
+    dev -= xs_arr
+    tol = UNIFORM_RTOL * max(abs(step), xs_arr.max(), -xs_arr.min())
+    bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
+    del dev
     if bad.size:
         row = _data_rows(path)[bad[0]][0]
         raise FormatError(

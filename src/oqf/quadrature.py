@@ -45,14 +45,29 @@ _NORM_SERIES = np.array(
 _MAX_THETA = 2.0**511
 
 # The dense path builds at most this many weights at a time, so a long
-# non-uniform lattice never holds the whole M x (n+1) matrix.
+# non-uniform lattice never holds the whole M x (n+1) matrix; the chirp-z
+# path's FFT buffer holds at most this many entries, or one node block.
 _DENSE_BLOCK_WEIGHTS = 1 << 20
 
 # The chirp-z path sums a uniform lattice in contiguous blocks of this many
-# frequencies, or of n + 1 when the grid has more nodes, so its working set is
-# O(_CHIRP_BLOCK + n) however long the lattice is and its time stays
-# O((M + n) log(M + n)).
+# frequencies, and each block's interior nodes in contiguous node blocks (see
+# _node_block), so its working set is O(K (_CHIRP_BLOCK + L)) for K sample
+# columns however long the lattice and the grid are.
 _CHIRP_BLOCK = 1 << 14
+
+
+def _node_block(m: int) -> int:
+    """L, the interior nodes of one chirp-z node block, for m frequencies.
+
+    A node block costs an FFT pair of length about m + L, of which L spans
+    its nodes, and m exactly reduced centre phases, so each node pays
+    (1 + m/L) log(m + L) in transforms and m/L phases: at L = 4m the
+    frequencies add a quarter.  At L = 2m the phases made n = 200000,
+    M = 2001 a fifth slower, and n = 8000, M = 2001 took two blocks, slower
+    than one.  Below _CHIRP_BLOCK / 4 = 4096 nodes the per-block numpy calls
+    cost more than shorter transforms save.
+    """
+    return max(4 * m, _CHIRP_BLOCK // 4)
 
 # A lattice takes the chirp-z path when every entry lies within this many
 # ulps of max|omega| of the straight line through its centre entry with the
@@ -153,18 +168,23 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     ``values`` holds samples on the grid nodes, shape (n+1,) or (n+1, K);
     the result has shape (M,) or (M, K).  A frequency lattice that is
     uniform to rounding (at least 2 entries, increasing or decreasing) is
-    summed as chirp-z transforms of contiguous blocks (see _CHIRP_BLOCK) in
-    O((M+n) log(M+n)); any other lattice builds the dense weights a block
-    of rows at a time.
+    summed as chirp-z transforms of contiguous blocks of at most
+    _CHIRP_BLOCK frequencies; within a block of m frequencies the interior
+    nodes are summed in contiguous node blocks of L = _node_block(m), each
+    its own chirp-z transform about its middle node, and a grid of at most
+    L interior nodes is one node block.  The time is O((M + n) log(m + L))
+    while M or n is within one block and grows as M n / _CHIRP_BLOCK when
+    both pass it.  Any other lattice builds the dense weights a block of
+    rows at a time.
 
     The samples must satisfy F = max(|Re f|, |Im f|) <= 2**1020 / max(N**3,
     b - a) with N = 2 (m + n), where m = min(M, max(_CHIRP_BLOCK, n + 1)) is
-    the frequency count of one chirp-z block, so N exceeds its FFT length.
-    Then no FFT intermediate passes sqrt(2) N**3 F (the unnormalized inverse
-    sums N products of two transforms, each at most the sum of its N inputs)
-    and no weighted sum passes sqrt(2) (b - a) F (the weights' moduli add up
-    to at most b - a), so both stay below 2**1021.  NaN and inf fail the
-    bound.
+    at least the frequency count of one chirp-z block, so N exceeds its FFT
+    length.  Then no FFT intermediate passes sqrt(2) N**3 F (the unnormalized
+    inverse sums N products of two transforms, each at most the sum of its N
+    inputs) and no weighted sum, nor any partial sum over node blocks, passes
+    sqrt(2) (b - a) F (the weights' moduli add up to at most b - a), so both
+    stay below 2**1021.  NaN and inf fail the bound.
     """
     omegas = _frequencies(omegas, grid.h)
     values = np.asarray(values, dtype=complex)
@@ -172,8 +192,7 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
         raise ValueError(
             f"expected {grid.n + 1} samples per column, got shape {values.shape}"
         )
-    chirp_length = max(_CHIRP_BLOCK, grid.n + 1)
-    fft_bound = 2.0 * (min(omegas.size, chirp_length) + grid.n)
+    fft_bound = 2.0 * (min(omegas.size, max(_CHIRP_BLOCK, grid.n + 1)) + grid.n)
     limit = 2.0**1020 / max(fft_bound**3, grid.b - grid.a)
     parts = values.ravel(order="K").view(float)  # a view when values is contiguous
     peak = np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
@@ -188,7 +207,7 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     else:
         # Every block keeps the whole lattice's step: a block near omega = 0 need
         # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
-        length = chirp_length
+        length = _CHIRP_BLOCK
         def evaluate(block):
             return _apply_chirp(grid, block, step, values)
     if omegas.size <= length:  # one block: no copy into a separate result
@@ -229,11 +248,15 @@ def _half_turns(rate, x) -> np.ndarray:
     # is split at 2**-28 its size and the scale moves onto x's halves, which
     # is exact: rate's high half, rounded up, may not scale back below the
     # float limit.  x, a frequency or an index product, stays far below that.
-    # Any other rate takes a scale of 1, which changes no bit.
-    scale = np.where(np.abs(rate) > 2.0**996, 2.0**28, 1.0)
-    rate_hi, rate_lo = _split(rate / scale)
+    # Any other rate takes a scale of 1, which changes no bit, so where no
+    # rate passes 2**996 the scaling is skipped.
     x_hi, x_lo = _split(x)
-    x_hi, x_lo = x_hi * scale, x_lo * scale
+    big = np.abs(rate) > 2.0**996
+    if big.any():
+        scale = np.where(big, 2.0**28, 1.0)
+        rate = rate / scale
+        x_hi, x_lo = x_hi * scale, x_lo * scale
+    rate_hi, rate_lo = _split(rate)
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
     return _mod2(_mod2(prod) + err)
 
@@ -292,29 +315,37 @@ def _apply_chirp(
     """Chirp-z evaluation of the weights applied to values on a uniform lattice.
 
     Row k is h*interior_k * sum_j e^{2 pi i omega_k x_j} f_j over the interior
-    nodes plus the two endpoint terms.  Both index ranges are centred
-    (p = k - M//2, q = j - n//2, x_c = x_{n//2}) so the chirp phases stay
-    small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns the interior sum into a
+    nodes plus the two endpoint terms.  The interior nodes are summed in
+    contiguous node blocks of L = _node_block(m) nodes, or as one block of all
+    n - 1 when that is no more; the last block is padded with zeros.  Both
+    index ranges are centred (p = k - m//2, q = j - c over a block's nodes j,
+    with c its middle node, n//2 for a single block) so the chirp phases stay
+    small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns each block's sum into a
     convolution:
 
         e^{2 pi i omega_k x_j} = e^{2 pi i omega_k x_c} e^{2 pi i omega_c h q}
                                  e^{i pi b p^2} e^{i pi b q^2} e^{-i pi b (p-q)^2}
 
-    with b = step * h.  The per-row factors use the actual omega_k; the
-    convolution runs on the line omega_c + p * step.  ``omegas`` is a block
-    of a lattice within _UNIFORM_ULPS ulps of its own line with this step, so
-    the block may miss its line by twice that, and an interior term's phase
-    can be off by 2 pi * 8 ulp(max|omega|) * |x_j - x_c|.
+    with b = step * h.  Every block has the same q, so all share one table of
+    b k^2, one pre-chirp and one chirp-kernel FFT; each block's convolution is
+    one row of a batched FFT, and only its centre phase e^{2 pi i omega_k x_c}
+    is its own.  Blocks run in groups whose FFT buffer holds at most
+    _DENSE_BLOCK_WEIGHTS entries, or one block.  The per-row factors use the
+    actual omega_k; the convolution runs on the line omega_c + p * step.
+    ``omegas`` is a block of a lattice within _UNIFORM_ULPS ulps of its own
+    line with this step, so the block may miss its line by twice that, and an
+    interior term's phase can be off by 2 pi * 8 ulp(max|omega|) * |x_j - x_c|.
     """
     m, n, h = omegas.size, grid.n, grid.h
     cols = values.reshape(n + 1, -1).T  # one row per column of values
+    rows = cols.shape[0]
     theta = TWO_PI * omegas * h
-    turns = _node_turns(grid.nodes()[[0, n // 2, -1]], omegas)
-    ends = _end_weights(h, theta, np.exp(1j * math.pi * turns[:, [0, -1]]))
-    out = cols[:, [0, -1]] @ np.stack(ends)
+    phases = np.exp(1j * math.pi * _node_turns(grid.nodes([0, n]), omegas))
+    out = cols[:, [0, -1]] @ np.stack(_end_weights(h, theta, phases))
 
     if n > 1:
-        q = np.arange(1, n, dtype=np.int64) - n // 2
+        span = min(n - 1, _node_block(m))
+        q = np.arange(1, span + 1, dtype=np.int64) - (span + 1) // 2
         p = np.arange(m, dtype=np.int64) - m // 2
         lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
         nfft = _fft_length(lags.size)
@@ -323,20 +354,34 @@ def _apply_chirp(
         squares = _half_turns(step * h, np.arange(max(-lags[0], lags[-1]) + 1.0) ** 2)
 
         pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float)) + squares[np.abs(q)]
-        chirp = np.exp(-1j * math.pi * squares)[np.abs(lags)]
-        buf = np.zeros((cols.shape[0], nfft), dtype=complex)
-        np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
-        np.fft.fft(buf, out=buf)
-        buf *= np.fft.fft(chirp, nfft)
-        conv = np.fft.ifft(buf, out=buf)[:, q.size - 1 : q.size - 1 + m]
-
-        post = turns[:, 1] + squares[np.abs(p)]
-        conv *= h * _interior_factor(theta) * np.exp(1j * math.pi * post)
-        out += conv
+        pre = np.exp(1j * math.pi * pre)
+        kernel = np.fft.fft(np.exp(-1j * math.pi * squares)[np.abs(lags)], nfft)
+        scale = h * _interior_factor(theta)
+        starts = np.arange(1, n, span)  # each node block's first node
+        group = max(1, _DENSE_BLOCK_WEIGHTS // (rows * nfft))
+        for first in range(0, starts.size, group):
+            batch = starts[first : first + group]
+            buf = np.zeros((batch.size * rows, nfft), dtype=complex)
+            for row, start in zip(range(0, buf.shape[0], rows), batch.tolist()):
+                block = cols[:, start : min(start + span, n)]
+                np.multiply(block, pre[: block.shape[1]],
+                            out=buf[row : row + rows, : block.shape[1]])
+            np.fft.fft(buf, out=buf)
+            buf *= kernel
+            conv = np.fft.ifft(buf, out=buf)[:, span - 1 : span - 1 + m]
+            conv = conv.reshape(batch.size, rows, m)
+            # the post-chirp with each block's centre phase, a row per block
+            centres = grid.nodes(batch + ((span + 1) // 2 - 1))
+            post = _node_turns(centres, omegas).T + squares[np.abs(p)]
+            conv *= (scale * np.exp(1j * math.pi * post))[:, None, :]
+            for part in conv:
+                out += part
 
     # Exact omega == 0 gives the exact trapezoid sum, which is what
     # coefficient_matrix's weights reduce to there.
-    out[:, omegas == 0.0] = (cols @ _trapezoid_weights(grid))[:, None]
+    zero = omegas == 0.0
+    if zero.any():
+        out[:, zero] = (cols @ _trapezoid_weights(grid))[:, None]
     return out.T.reshape(omegas.shape + values.shape[1:])
 
 

@@ -85,12 +85,13 @@ def check_transform_fast_vs_dense() -> list[CheckResult]:
     """The chirp-z path of apply_weights against the dense weight matrix.
 
     Uniform lattices both sides of SMALL_THETA, increasing and decreasing
-    (the latter ending on omega = 0 exactly), on grids from n = 1 up; the
+    (the latter ending on omega = 0 exactly), on grids from n = 1 up to one
+    past a node block (n = 6000, two blocks of 4096 at these lattices); the
     deviation is relative to the largest dense value.
     """
     rng = np.random.default_rng(0)
     deviations = []
-    for n in (1, 2, 7, 64, 729):
+    for n in (1, 2, 7, 64, 729, 6000):
         grid = UniformGrid(-0.7, 1.9, n)
         for theta_max in (0.2, 3.0):
             top = theta_max / (2.0 * math.pi * grid.h)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -631,22 +632,89 @@ def test_apply_weights_chirp_blocks_match_one_shot(omegas, block, zero, monkeypa
         )
 
 
-def test_apply_weights_chirp_blocks_span_the_grid_when_it_is_longer(monkeypatch):
-    # With more nodes than the block length, blocks of n + 1 frequencies keep
-    # the time O((M + n) log(M + n)): here 23 = 11 + 11 + 1.
+def test_apply_weights_chirp_blocks_keep_their_length_on_a_longer_grid(monkeypatch):
+    # Frequency blocks hold _CHIRP_BLOCK frequencies however many nodes the
+    # grid has, here 23 = 5 * 4 + 3; each block then sums the 39 interior
+    # nodes in node blocks of _node_block(m): 16 + 16 + 7 for m = 4 and
+    # 3 * 12 + 3 for m = 3.
     rng = np.random.default_rng(5)
-    grid = UniformGrid(0.0, 2.0, 10)
+    grid = UniformGrid(0.0, 2.0, 40)
     omegas = np.linspace(-7.0, 9.0, 23)
-    values = rng.normal(size=11) + 1j * rng.normal(size=11)
+    values = rng.normal(size=41) + 1j * rng.normal(size=41)
     whole = _one_shot(grid, omegas, values, monkeypatch)
     sizes = []
     chirp = quadrature._apply_chirp
     monkeypatch.setattr(quadrature, "_apply_chirp",
                         lambda g, w, *rest: sizes.append(w.size) or chirp(g, w, *rest))
     monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", 4)
+    assert (quadrature._node_block(4), quadrature._node_block(3)) == (16, 12)
     blocked = apply_weights(grid, omegas, values)
-    assert sizes == [11, 11, 1]
+    assert sizes == [4, 4, 4, 4, 4, 3]
     assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("n", [4098, 3 * 4096 + 1001])
+def test_apply_weights_node_blocks_match_dense(n):
+    # 201 frequencies sum the interior nodes in node blocks of 4096: n - 1 =
+    # 4097 is one full block and one of a single node, 3 * 4096 + 1000 three
+    # full blocks and a padded one.
+    assert quadrature._node_block(201) == 4096 < n - 1
+    rng = np.random.default_rng(n)
+    grid = UniformGrid(-0.7, 1.9, n)
+    values = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+    zeros = 0
+    for omegas in _lattices(grid, 201):
+        dense = _dense_apply(grid, omegas, values)
+        fast = apply_weights(grid, omegas, values)
+        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+        # an exact-zero row is the trapezoid sum, bit for bit
+        for zero in np.nonzero(omegas == 0.0)[0]:
+            np.testing.assert_array_equal(fast[zero], quadrature._trapezoid_weights(grid) @ values)
+            zeros += 1
+    assert zeros >= 2  # the two lattices that start at 0
+
+
+# apply_weights on grids of at most one node block, pinned to the bits of the
+# single-convolution kernel that node blocks extend (SHA-256 of the result's
+# bytes).  n - 1 = 4096 and 4100 are exactly one block at 201 and 1025
+# frequencies; n = 8000 at 2001 is the spectrum round trip's inverse.
+@pytest.mark.parametrize("grid, omegas, columns, digest", [
+    (UniformGrid(-0.7, 1.9, 4097), np.linspace(-40.0, 40.0, 201), 3,
+     "c42c44be8eae387b202de32792ff00861a0e14180b9f505a1effa576e94400bd"),
+    (UniformGrid(-6.0, 6.0, 8000), np.linspace(60.0, -60.0, 2001), None,
+     "d753752c3c1d830034813a28f938ea8aedea26bb6fb64c6206a20a260db02308"),
+    (UniformGrid(0.0, 3.0, 4101), np.linspace(0.0, 25.0, 1025), 2,
+     "7121ccf36ae19db496bfea9c25d7aa96faf46cb0658c89dd710f6e628555022d"),
+])
+def test_apply_weights_one_node_block_keeps_its_bits(grid, omegas, columns, digest):
+    assert grid.n - 1 <= quadrature._node_block(omegas.size)
+    j = np.arange((grid.n + 1) * (columns or 1)).reshape(grid.n + 1, -1)
+    values = (j % 7 - 3.0) + 1j * (j % 5 - 2.0)
+    result = apply_weights(grid, omegas, values if columns else values[:, 0])
+    assert hashlib.sha256(result.tobytes()).hexdigest() == digest
+
+
+def test_inverse_transform_peak_memory_is_bounded_along_the_sample_grid():
+    # 2 * 10^6 spectrum samples to 2001 points: node blocks keep the traced
+    # peak within 2x the samples' bytes (one convolution over the whole grid
+    # took 5.8x).  What is left is the trapezoid weights of the exact
+    # omega = 0 row and one FFT buffer of at most _DENSE_BLOCK_WEIGHTS entries.
+    import tracemalloc
+
+    from oqf.grid import SampledFunction
+    from oqf.transform import inverse_transform
+
+    grid = UniformGrid(-50.0, 50.0, 2 * 10**6)
+    spectrum = SampledFunction(grid, np.exp(-math.pi * grid.nodes() ** 2))
+    xs = np.linspace(-10.0, 10.0, 2001)
+    tracemalloc.start()
+    try:
+        result = inverse_transform(spectrum, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * spectrum.values.nbytes
+    assert np.abs(result - np.exp(-math.pi * xs**2)).max() <= 1e-8
 
 
 def test_forward_transform_peak_memory_is_bounded():
@@ -740,6 +808,15 @@ def test_half_turns_broadcasts_to_the_scalar_bits():
     for b, step in ((1e300, 1e-302), (1.5e308, 1e-307), (1.7976931348623157e308, 1e-307)):
         rates.append(UniformGrid(0.0, b, 9).nodes())
         omegas.append(np.arange(-100, 101) * step)
+    # Rates one ulp either side of 2**996, and a grid whose nodes cross it: a
+    # broadcast call with any rate past it scales every rate, a scalar call
+    # below it skips the scaling, and both give the same bits.
+    edge = np.nextafter(2.0**996, [0.0, math.inf])
+    rates.append(np.array([edge[0], 2.0**996, edge[1], -edge[1], 3.0, -0.7]))
+    omegas.append(np.linspace(-1e-290, 1e-290, 9))
+    rates.append(UniformGrid(6e299, 7e299, 9).nodes())
+    omegas.append(np.arange(-100, 101) * 1e-307)
+    assert (np.abs(rates[-1]) > 2.0**996).any() and (np.abs(rates[-1]) <= 2.0**996).any()
     for rate, omega in zip(rates, omegas):
         with np.errstate(all="raise"):
             both = quadrature._half_turns(rate[:, None], 2.0 * omega)
@@ -773,12 +850,15 @@ def test_last_node_is_b_where_a_plus_h_n_overflows():
         grid = UniformGrid(a, b, 9)
         with np.errstate(all="raise"):
             nodes = grid.nodes()
+            picked = grid.nodes([9, 0, 4, 8])
         assert np.isfinite(nodes).all() and nodes[0] == a and nodes[-1] == b
+        np.testing.assert_array_equal(picked, nodes[[9, 0, 4, 8]])
         np.testing.assert_array_equal(nodes[:-1], a + grid.h * np.arange(9))
         assert np.all(np.diff(nodes) > 0)
     # Wherever a + h n is finite the nodes are a + h k for every k, b or not.
     grid = UniformGrid(0.1, 0.3, 3)
     np.testing.assert_array_equal(grid.nodes(), 0.1 + grid.h * np.arange(4))
+    np.testing.assert_array_equal(grid.nodes([3, 0]), grid.nodes()[[3, 0]])
     assert grid.nodes()[-1] != 0.3
 
 
