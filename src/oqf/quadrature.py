@@ -49,11 +49,25 @@ _MAX_THETA = 2.0**511
 # path's FFT buffer holds at most this many entries, or one node block.
 _DENSE_BLOCK_WEIGHTS = 1 << 20
 
-# The chirp-z path sums a uniform lattice in contiguous blocks of this many
-# frequencies, and each block's interior nodes in contiguous node blocks (see
-# _node_block), so its working set is O(K (_CHIRP_BLOCK + L)) for K sample
-# columns however long the lattice and the grid are.
+# The chirp-z path sums a uniform lattice in contiguous blocks of at least
+# this many frequencies (see _frequency_block), and each block's interior
+# nodes in contiguous node blocks (see _node_block), so its working set is
+# bounded for K sample columns however long the lattice and the grid are.
 _CHIRP_BLOCK = 1 << 14
+
+
+def _frequency_block(n: int, columns: int) -> int:
+    """m, the frequencies of one chirp-z block, on a grid of n intervals with
+    K = columns sample columns (0 counts as 1).
+
+    Past _CHIRP_BLOCK, m grows with the grid up to n + 1 frequencies while
+    one node block's FFT buffer, about K (m + _node_block(m)) = 5 K m
+    entries, holds at most _DENSE_BLOCK_WEIGHTS.  A lattice and a grid both
+    longer than one block cost M n (1/m + 1/L) log(m + L), so the longer the
+    blocks the less; past n + 1 a block gains little, and m <= n + 1 keeps
+    apply_weights' sample bound above the FFT length.
+    """
+    return max(_CHIRP_BLOCK, min(n + 1, _DENSE_BLOCK_WEIGHTS // (5 * max(columns, 1))))
 
 
 def _node_block(m: int) -> int:
@@ -168,14 +182,14 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     ``values`` holds samples on the grid nodes, shape (n+1,) or (n+1, K);
     the result has shape (M,) or (M, K).  A frequency lattice that is
     uniform to rounding (at least 2 entries, increasing or decreasing) is
-    summed as chirp-z transforms of contiguous blocks of at most
-    _CHIRP_BLOCK frequencies; within a block of m frequencies the interior
+    summed as chirp-z transforms of contiguous blocks of
+    m = _frequency_block(n, K) frequencies; within a block the interior
     nodes are summed in contiguous node blocks of L = _node_block(m), each
     its own chirp-z transform about its middle node, and a grid of at most
     L interior nodes is one node block.  The time is O((M + n) log(m + L))
-    while M or n is within one block and grows as M n / _CHIRP_BLOCK when
-    both pass it.  Any other lattice builds the dense weights a block of
-    rows at a time.
+    while M or n is within one block and grows as M n / m when both pass
+    it, with m about _DENSE_BLOCK_WEIGHTS / 5K on long grids.  Any other
+    lattice builds the dense weights a block of rows at a time.
 
     The samples must satisfy F = max(|Re f|, |Im f|) <= 2**1020 / max(N**3,
     b - a) with N = 2 (m + n), where m = min(M, max(_CHIRP_BLOCK, n + 1)) is
@@ -207,7 +221,7 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     else:
         # Every block keeps the whole lattice's step: a block near omega = 0 need
         # not pass _lattice_step's test, whose tolerance scales with its own max|omega|.
-        length = _CHIRP_BLOCK
+        length = _frequency_block(grid.n, values.size // (grid.n + 1))
         def evaluate(block):
             return _apply_chirp(grid, block, step, values)
     if omegas.size <= length:  # one block: no copy into a separate result
@@ -317,9 +331,11 @@ def _apply_chirp(
     Row k is h*interior_k * sum_j e^{2 pi i omega_k x_j} f_j over the interior
     nodes plus the two endpoint terms.  The interior nodes are summed in
     contiguous node blocks of L = _node_block(m) nodes, or as one block of all
-    n - 1 when that is no more; the last block is padded with zeros.  Both
-    index ranges are centred (p = k - m//2, q = j - c over a block's nodes j,
-    with c its middle node, n//2 for a single block) so the chirp phases stay
+    n - 1 when that is no more; the last block spans the last L interior
+    nodes, with zeros for those the block before it summed, so its middle is
+    a node of the grid.  Both index ranges are centred (p = k - m//2,
+    q = j - c over the L nodes j a block spans, with c its middle node, n//2
+    for a single block) so the chirp phases stay
     small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns each block's sum into a
     convolution:
 
@@ -343,7 +359,7 @@ def _apply_chirp(
     phases = np.exp(1j * math.pi * _node_turns(grid.nodes([0, n]), omegas))
     out = cols[:, [0, -1]] @ np.stack(_end_weights(h, theta, phases))
 
-    if n > 1:
+    if n > 1 and rows:  # interior nodes and at least one sample column
         span = min(n - 1, _node_block(m))
         q = np.arange(1, span + 1, dtype=np.int64) - (span + 1) // 2
         p = np.arange(m, dtype=np.int64) - m // 2
@@ -357,21 +373,27 @@ def _apply_chirp(
         pre = np.exp(1j * math.pi * pre)
         kernel = np.fft.fft(np.exp(-1j * math.pi * squares)[np.abs(lags)], nfft)
         scale = h * _interior_factor(theta)
-        starts = np.arange(1, n, span)  # each node block's first node
+        # Each node block sums the nodes from its first one up to its span's
+        # end.  The last span ends on node n - 1, and the nodes it shares with
+        # the block before stay zero, so every centre is a node of the grid.
+        firsts = np.arange(1, n, span)
+        begins = np.minimum(firsts, n - span)
         group = max(1, _DENSE_BLOCK_WEIGHTS // (rows * nfft))
-        for first in range(0, starts.size, group):
-            batch = starts[first : first + group]
-            buf = np.zeros((batch.size * rows, nfft), dtype=complex)
-            for row, start in zip(range(0, buf.shape[0], rows), batch.tolist()):
-                block = cols[:, start : min(start + span, n)]
-                np.multiply(block, pre[: block.shape[1]],
-                            out=buf[row : row + rows, : block.shape[1]])
+        for start in range(0, firsts.size, group):
+            batch = slice(start, start + group)
+            count = firsts[batch].size
+            buf = np.zeros((count * rows, nfft), dtype=complex)
+            for row, first, begin in zip(range(0, buf.shape[0], rows),
+                                         firsts[batch].tolist(), begins[batch].tolist()):
+                skip = first - begin
+                np.multiply(cols[:, first : begin + span], pre[skip:],
+                            out=buf[row : row + rows, skip:span])
             np.fft.fft(buf, out=buf)
             buf *= kernel
             conv = np.fft.ifft(buf, out=buf)[:, span - 1 : span - 1 + m]
-            conv = conv.reshape(batch.size, rows, m)
+            conv = conv.reshape(count, rows, m)
             # the post-chirp with each block's centre phase, a row per block
-            centres = grid.nodes(batch + ((span + 1) // 2 - 1))
+            centres = grid.nodes(begins[batch] + ((span + 1) // 2 - 1))
             post = _node_turns(centres, omegas).T + squares[np.abs(p)]
             conv *= (scale * np.exp(1j * math.pi * post))[:, None, :]
             for part in conv:

@@ -1,4 +1,3 @@
-import hashlib
 import math
 from fractions import Fraction
 
@@ -632,32 +631,56 @@ def test_apply_weights_chirp_blocks_match_one_shot(omegas, block, zero, monkeypa
         )
 
 
-def test_apply_weights_chirp_blocks_keep_their_length_on_a_longer_grid(monkeypatch):
-    # Frequency blocks hold _CHIRP_BLOCK frequencies however many nodes the
-    # grid has, here 23 = 5 * 4 + 3; each block then sums the 39 interior
-    # nodes in node blocks of _node_block(m): 16 + 16 + 7 for m = 4 and
-    # 3 * 12 + 3 for m = 3.
+def test_apply_weights_chirp_blocks_span_the_grid_when_it_is_longer(monkeypatch):
+    # With more nodes than the block length, blocks of n + 1 frequencies keep
+    # the time O((M + n) log(M + n)): here 23 = 11 + 11 + 1.
     rng = np.random.default_rng(5)
-    grid = UniformGrid(0.0, 2.0, 40)
+    grid = UniformGrid(0.0, 2.0, 10)
     omegas = np.linspace(-7.0, 9.0, 23)
-    values = rng.normal(size=41) + 1j * rng.normal(size=41)
+    values = rng.normal(size=11) + 1j * rng.normal(size=11)
     whole = _one_shot(grid, omegas, values, monkeypatch)
     sizes = []
     chirp = quadrature._apply_chirp
     monkeypatch.setattr(quadrature, "_apply_chirp",
                         lambda g, w, *rest: sizes.append(w.size) or chirp(g, w, *rest))
     monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", 4)
-    assert (quadrature._node_block(4), quadrature._node_block(3)) == (16, 12)
     blocked = apply_weights(grid, omegas, values)
-    assert sizes == [4, 4, 4, 4, 4, 3]
+    assert sizes == [11, 11, 1]
+    assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_apply_weights_chirp_blocks_stop_growing_at_the_byte_cap(monkeypatch):
+    # Frequency blocks grow towards n + 1 only while K (m + _node_block(m)) =
+    # 5 K m FFT entries fit in _DENSE_BLOCK_WEIGHTS: 60 entries for K = 2
+    # columns give m = 6, so 23 = 3 * 6 + 5 on a 40-node grid.  Each block
+    # then sums the 39 interior nodes in node blocks of 4 m, the last of
+    # them over the last 4 m nodes with zeros for those already summed.
+    rng = np.random.default_rng(5)
+    grid = UniformGrid(0.0, 2.0, 40)
+    omegas = np.linspace(-7.0, 9.0, 23)
+    values = rng.normal(size=(41, 2)) + 1j * rng.normal(size=(41, 2))
+    whole = _dense_apply(grid, omegas, values)
+    sizes = []
+    chirp = quadrature._apply_chirp
+    monkeypatch.setattr(quadrature, "_apply_chirp",
+                        lambda g, w, *rest: sizes.append(w.size) or chirp(g, w, *rest))
+    monkeypatch.setattr(quadrature, "_CHIRP_BLOCK", 4)
+    monkeypatch.setattr(quadrature, "_DENSE_BLOCK_WEIGHTS", 60)
+    assert quadrature._frequency_block(40, 2) == 6
+    assert quadrature._frequency_block(40, 1) == 12
+    assert quadrature._frequency_block(40, 20) == 4  # never below _CHIRP_BLOCK
+    assert quadrature._frequency_block(8, 1) == 9  # nor above n + 1
+    blocked = apply_weights(grid, omegas, values)
+    assert sizes == [6, 6, 6, 5]
+    assert apply_weights(grid, omegas, values[:, :0]).shape == (23, 0)
     assert np.abs(blocked - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 @pytest.mark.parametrize("n", [4098, 3 * 4096 + 1001])
 def test_apply_weights_node_blocks_match_dense(n):
     # 201 frequencies sum the interior nodes in node blocks of 4096: n - 1 =
-    # 4097 is one full block and one of a single node, 3 * 4096 + 1000 three
-    # full blocks and a padded one.
+    # 4097 is one full block and one that adds a single node, 3 * 4096 + 1000
+    # three full blocks and one that adds 1000, each over the last 4096 nodes.
     assert quadrature._node_block(201) == 4096 < n - 1
     rng = np.random.default_rng(n)
     grid = UniformGrid(-0.7, 1.9, n)
@@ -674,24 +697,52 @@ def test_apply_weights_node_blocks_match_dense(n):
     assert zeros >= 2  # the two lattices that start at 0
 
 
-# apply_weights on grids of at most one node block, pinned to the bits of the
-# single-convolution kernel that node blocks extend (SHA-256 of the result's
-# bytes).  n - 1 = 4096 and 4100 are exactly one block at 201 and 1025
+def _single_convolution(grid, omegas, values):
+    # The chirp-z sum as one convolution over all interior nodes about node
+    # n // 2, the arithmetic that node blocks extend, for one frequency block.
+    step = quadrature._lattice_step(omegas)
+    m, n, h = omegas.size, grid.n, grid.h
+    cols = values.reshape(n + 1, -1).T
+    theta = TWO_PI * omegas * h
+    turns = quadrature._node_turns(grid.nodes()[[0, n // 2, -1]], omegas)
+    ends = quadrature._end_weights(h, theta, np.exp(1j * math.pi * turns[:, [0, -1]]))
+    out = cols[:, [0, -1]] @ np.stack(ends)
+    q = np.arange(1, n, dtype=np.int64) - n // 2
+    p = np.arange(m, dtype=np.int64) - m // 2
+    lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
+    nfft = quadrature._fft_length(lags.size)
+    squares = quadrature._half_turns(step * h, np.arange(max(-lags[0], lags[-1]) + 1.0) ** 2)
+    pre = quadrature._half_turns(2.0 * omegas[m // 2] * h, q.astype(float)) + squares[np.abs(q)]
+    chirp = np.exp(-1j * math.pi * squares)[np.abs(lags)]
+    buf = np.zeros((cols.shape[0], nfft), dtype=complex)
+    np.multiply(cols[:, 1:-1], np.exp(1j * math.pi * pre), out=buf[:, : q.size])
+    np.fft.fft(buf, out=buf)
+    buf *= np.fft.fft(chirp, nfft)
+    conv = np.fft.ifft(buf, out=buf)[:, q.size - 1 : q.size - 1 + m]
+    post = turns[:, 1] + squares[np.abs(p)]
+    conv *= h * quadrature._interior_factor(theta) * np.exp(1j * math.pi * post)
+    out += conv
+    out[:, omegas == 0.0] = (cols @ quadrature._trapezoid_weights(grid))[:, None]
+    return out.T.reshape(omegas.shape + values.shape[1:])
+
+
+# n - 1 = 4096 and 4100 are exactly one node block at 201 and 1025
 # frequencies; n = 8000 at 2001 is the spectrum round trip's inverse.
-@pytest.mark.parametrize("grid, omegas, columns, digest", [
-    (UniformGrid(-0.7, 1.9, 4097), np.linspace(-40.0, 40.0, 201), 3,
-     "c42c44be8eae387b202de32792ff00861a0e14180b9f505a1effa576e94400bd"),
-    (UniformGrid(-6.0, 6.0, 8000), np.linspace(60.0, -60.0, 2001), None,
-     "d753752c3c1d830034813a28f938ea8aedea26bb6fb64c6206a20a260db02308"),
-    (UniformGrid(0.0, 3.0, 4101), np.linspace(0.0, 25.0, 1025), 2,
-     "7121ccf36ae19db496bfea9c25d7aa96faf46cb0658c89dd710f6e628555022d"),
+@pytest.mark.parametrize("grid, omegas, columns", [
+    (UniformGrid(-0.7, 1.9, 4097), np.linspace(-40.0, 40.0, 201), 3),
+    (UniformGrid(-6.0, 6.0, 8000), np.linspace(60.0, -60.0, 2001), None),
+    (UniformGrid(0.0, 3.0, 4101), np.linspace(0.0, 25.0, 1025), 2),
 ])
-def test_apply_weights_one_node_block_keeps_its_bits(grid, omegas, columns, digest):
+def test_apply_weights_one_node_block_keeps_its_bits(grid, omegas, columns):
     assert grid.n - 1 <= quadrature._node_block(omegas.size)
     j = np.arange((grid.n + 1) * (columns or 1)).reshape(grid.n + 1, -1)
     values = (j % 7 - 3.0) + 1j * (j % 5 - 2.0)
-    result = apply_weights(grid, omegas, values if columns else values[:, 0])
-    assert hashlib.sha256(result.tobytes()).hexdigest() == digest
+    if not columns:
+        values = values[:, 0]
+    result = apply_weights(grid, omegas, values)
+    reference = _single_convolution(grid, omegas, values)
+    assert result.shape == reference.shape
+    assert result.tobytes() == reference.tobytes()
 
 
 def test_inverse_transform_peak_memory_is_bounded_along_the_sample_grid():
@@ -797,6 +848,25 @@ def test_apply_weights_on_nodes_near_the_float_limit(b, step):
         dense = coefficient_matrix(grid, omegas) @ values
     assert np.isfinite(fast).all() and np.isfinite(dense).all()
     assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("b, n", [(1.79e308, 10000), (1.7976931348623157e308, 8322)])
+def test_apply_weights_node_blocks_on_nodes_near_the_float_limit(b, n):
+    # Past one node block (4096 at 201 frequencies) every block's centre is a
+    # node of the grid: on [0, 1.79e308] a + h k overflows for k a little
+    # past n, and at b = the largest float a + h n itself rounds past it, so
+    # the last node is b.  Node blocks whose centres lay past node n gave inf
+    # and NaN rows or phases off by omega h (c - n) turns.
+    grid = UniformGrid(0.0, b, n)
+    assert n - 1 > quadrature._node_block(201)
+    assert math.isfinite(grid.h * n) == (b == 1.79e308)
+    omegas = np.arange(-100, 101) * 1e-307
+    values = np.linspace(0.01, 0.02, n + 1)
+    with np.errstate(all="raise"):
+        fast = apply_weights(grid, omegas, values)
+        dense = coefficient_matrix(grid, omegas) @ values
+    assert np.isfinite(fast).all() and np.isfinite(dense).all()
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_half_turns_broadcasts_to_the_scalar_bits():
