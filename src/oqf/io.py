@@ -15,6 +15,7 @@ All writers go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 import tempfile
@@ -115,47 +116,86 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (abscissae, complex values).  Raises FormatError naming the
     file line of the first offending row on non-uniform spacing, non-finite
-    numbers or malformed content.  Rows are parsed by one np.loadtxt call;
-    empty lines are skipped but counted in row numbers, and a number may be
-    quoted.
+    numbers or malformed content.  Rows are parsed by np.loadtxt a block of
+    _CSV_BLOCK_ROWS lines at a time into the result's arrays, sized by the
+    file's line count when it holds more than one block, so beside the
+    result at most three blocks' tables are held; empty lines are skipped
+    but counted in row numbers, and a number may be quoted.
     """
     with open(path) as fh:  # universal newlines: CRLF and CR end rows too
         if len(fh.readline().rstrip("\n").split(",")) != 3:
             raise FormatError(f"{path}: missing or malformed header")
-        body = fh.tell()
-        while (line := fh.readline()) == "\n":
-            pass
-        if not line:
-            raise FormatError(f"{path}: need at least 2 data rows, got 0")
-        fh.seek(body)
         try:
-            table = _parse_rows(fh)
+            tables = _parse_blocks(fh)
+            head = list(itertools.islice(tables, 2))
+            # every line but the header, an upper bound on the data rows
+            size = _line_count(path) - 1 if len(head) == 2 else sum(map(len, head))
+            xs = np.empty(size)
+            values = np.empty(size, dtype=complex)
+            pairs = values.view(float).reshape(-1, 2)
+            rows = 0
+            for table in itertools.chain(head, tables):
+                block = slice(rows, rows + len(table))
+                xs[block], pairs[block] = table[:, 0], table[:, 1:]
+                rows += len(table)
         except ValueError:
-            table = None
-    if table is None or not np.isfinite(table).all():
-        row, reason = _first_bad_row(path)
-        raise FormatError(f"{path}: row {row}: {reason}")
-    if len(table) < 2:
-        raise FormatError(f"{path}: need at least 2 data rows, got {len(table)}")
-    xs_arr = table[:, 0].copy()
-    step = (xs_arr[-1] - xs_arr[0]) / (len(xs_arr) - 1)
+            row, reason = _first_bad_row(path)
+            raise FormatError(f"{path}: row {row}: {reason}") from None
+    if rows < 2:
+        raise FormatError(f"{path}: need at least 2 data rows, got {rows}")
+    del pairs
+    if rows < size:  # empty lines: shrink in place, without a copy
+        xs.resize(rows, refcheck=False)
+        values.resize(rows, refcheck=False)
+    step = (xs[-1] - xs[0]) / (rows - 1)
     if step <= 0:
         raise FormatError(f"{path}: abscissae must be increasing")
-    # |xs - (xs[0] + step k)| in one temporary, so a long table is not held
-    # several times over
-    dev = np.arange(len(xs_arr), dtype=float)
-    dev *= step
-    dev += xs_arr[0]
-    dev -= xs_arr
-    tol = UNIFORM_RTOL * max(abs(step), xs_arr.max(), -xs_arr.min())
-    bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
-    del dev
-    if bad.size:
-        row = _data_rows(path)[bad[0]][0]
-        raise FormatError(
-            f"{path}: row {row}: abscissa {float(xs_arr[bad[0]])!r} off the uniform lattice"
-        )
-    return xs_arr, table[:, 1:].copy().view(complex).ravel()
+    # |xs - (xs[0] + step k)| a block of rows at a time, so no temporary is
+    # as long as the table
+    tol = UNIFORM_RTOL * max(abs(step), xs.max(), -xs.min())
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        dev = np.arange(start, min(start + _CSV_BLOCK_ROWS, rows), dtype=float)
+        dev *= step
+        dev += xs[0]
+        dev -= xs[start : start + _CSV_BLOCK_ROWS]
+        bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
+        if bad.size:
+            index = start + bad[0]
+            row = _data_rows(path)[index][0]
+            raise FormatError(
+                f"{path}: row {row}: abscissa {float(xs[index])!r} off the uniform lattice"
+            )
+    return xs, values
+
+
+def _parse_blocks(fh):
+    """The (rows, 3) float tables of successive blocks of at most
+    _CSV_BLOCK_ROWS lines of a text file, each starting at a non-empty line,
+    so np.loadtxt never meets input with no data.  The lines stream through
+    the parser, so no block's text is held.  ValueError at the first block
+    that holds a line other than three numbers, or a non-finite one."""
+    while first := fh.readline():
+        if first == "\n":
+            continue
+        table = _parse_rows(itertools.chain([first], itertools.islice(fh, _CSV_BLOCK_ROWS - 1)))
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite number")
+        yield table
+
+
+def _line_count(path: str | Path) -> int:
+    """The file's lines, as universal newlines split them (LF, CRLF and CR
+    each end one), counted over binary blocks."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            codes = np.frombuffer(chunk, dtype=np.uint8)
+            count += np.count_nonzero(codes == ord("\n"))
+            if b"\r" in chunk:
+                count += np.count_nonzero(codes == ord("\r")) - chunk.count(b"\r\n")
+            count -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across blocks
+            last = chunk[-1:]
+    return count + (last not in (b"", b"\n", b"\r"))  # an unterminated last line
 
 
 def _parse_rows(lines) -> np.ndarray:

@@ -184,11 +184,13 @@ def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
     uniform to rounding (at least 2 entries, increasing or decreasing) is
     summed as chirp-z transforms of contiguous blocks of
     m = _frequency_block(n, K) frequencies; within a block the interior
-    nodes are summed in contiguous node blocks of L = _node_block(m), each
-    its own chirp-z transform about its middle node, and a grid of at most
-    L interior nodes is one node block.  The time is O((M + n) log(m + L))
-    while M or n is within one block and grows as M n / m when both pass
-    it, with m about _DENSE_BLOCK_WEIGHTS / 5K on long grids.  Any other
+    nodes from the first to the last with a non-zero sample, s of them, are
+    summed in contiguous node blocks of L = _node_block(m), each its own
+    chirp-z transform about its middle node, and a support of at most L
+    nodes is one node block.  The time is O((M + s) log(m + L) + n K) while
+    M or s is within one block and grows as M s / m when both pass it, with
+    m about _DENSE_BLOCK_WEIGHTS / 5K on long grids; samples that vanish
+    towards the grid's ends cost their support, not the grid.  Any other
     lattice builds the dense weights a block of rows at a time.
 
     The samples must satisfy F = max(|Re f|, |Im f|) <= 2**1020 / max(N**3,
@@ -323,21 +325,43 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _interior_support(cols: np.ndarray) -> tuple[int, int]:
+    """[lo, hi), the interior nodes from the first to the last that hold a
+    non-zero sample in some row of cols (a row per sample column, a column
+    per node); lo == hi when every interior sample is zero.
+
+    When the first and the last interior nodes both hold one, that is every
+    interior node, found at O(K) cost; otherwise one pass over the samples.
+    """
+    n = cols.shape[1] - 1
+    if cols[:, 1].any() and cols[:, n - 1].any():
+        return 1, n
+    nonzero = cols[:, 1:n].any(axis=0)
+    if not nonzero.any():
+        return 1, 1
+    return 1 + int(nonzero.argmax()), n - int(nonzero[::-1].argmax())
+
+
 def _apply_chirp(
     grid: UniformGrid, omegas: np.ndarray, step: float, values: np.ndarray
 ) -> np.ndarray:
     """Chirp-z evaluation of the weights applied to values on a uniform lattice.
 
     Row k is h*interior_k * sum_j e^{2 pi i omega_k x_j} f_j over the interior
-    nodes plus the two endpoint terms.  The interior nodes are summed in
-    contiguous node blocks of L = _node_block(m) nodes, or as one block of all
-    n - 1 when that is no more; the last block spans the last L interior
-    nodes, with zeros for those the block before it summed, so its middle is
-    a node of the grid.  Both index ranges are centred (p = k - m//2,
-    q = j - c over the L nodes j a block spans, with c its middle node, n//2
-    for a single block) so the chirp phases stay
-    small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns each block's sum into a
-    convolution:
+    nodes plus the two endpoint terms.  Only the support is summed: the s =
+    hi - lo interior nodes [lo, hi) from the first to the last that hold a
+    non-zero sample (_interior_support), and the endpoint terms only where an
+    end sample is non-zero.  The support is summed in contiguous node blocks
+    of L = _node_block(m) nodes, or as one block when s is no more; the last
+    block spans the support's last L nodes, with zeros for those the block
+    before it summed, so its middle is a node of the grid.  So the time is
+    O((m + s) log(m + L)) beside O(n K) to find the support when the first
+    or the last interior sample is zero; samples whose first and last
+    interior entries are non-zero take lo = 1, hi = n, the whole interior.
+    Both index ranges are centred (p = k - m//2, q = j - c
+    over the L nodes j a block spans, with c its middle node) so the chirp
+    phases stay small, and pq = (p^2 + q^2 - (p-q)^2)/2 turns each block's
+    sum into a convolution:
 
         e^{2 pi i omega_k x_j} = e^{2 pi i omega_k x_c} e^{2 pi i omega_c h q}
                                  e^{i pi b p^2} e^{i pi b q^2} e^{-i pi b (p-q)^2}
@@ -356,11 +380,16 @@ def _apply_chirp(
     cols = values.reshape(n + 1, -1).T  # one row per column of values
     rows = cols.shape[0]
     theta = TWO_PI * omegas * h
-    phases = np.exp(1j * math.pi * _node_turns(grid.nodes([0, n]), omegas))
-    out = cols[:, [0, -1]] @ np.stack(_end_weights(h, theta, phases))
+    ends = cols[:, [0, -1]]
+    if ends.any():
+        phases = np.exp(1j * math.pi * _node_turns(grid.nodes([0, n]), omegas))
+        out = ends @ np.stack(_end_weights(h, theta, phases))
+    else:  # both end samples are zero in every column
+        out = np.zeros((rows, m), dtype=complex)
 
-    if n > 1 and rows:  # interior nodes and at least one sample column
-        span = min(n - 1, _node_block(m))
+    lo, hi = _interior_support(cols)
+    if hi > lo:
+        span = min(hi - lo, _node_block(m))
         q = np.arange(1, span + 1, dtype=np.int64) - (span + 1) // 2
         p = np.arange(m, dtype=np.int64) - m // 2
         lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
@@ -374,10 +403,10 @@ def _apply_chirp(
         kernel = np.fft.fft(np.exp(-1j * math.pi * squares)[np.abs(lags)], nfft)
         scale = h * _interior_factor(theta)
         # Each node block sums the nodes from its first one up to its span's
-        # end.  The last span ends on node n - 1, and the nodes it shares with
+        # end.  The last span ends on node hi - 1, and the nodes it shares with
         # the block before stay zero, so every centre is a node of the grid.
-        firsts = np.arange(1, n, span)
-        begins = np.minimum(firsts, n - span)
+        firsts = np.arange(lo, hi, span)
+        begins = np.minimum(firsts, hi - span)
         group = max(1, _DENSE_BLOCK_WEIGHTS // (rows * nfft))
         for start in range(0, firsts.size, group):
             batch = slice(start, start + group)

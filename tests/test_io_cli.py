@@ -132,6 +132,56 @@ def test_complex_csv_read_keeps_signed_zeros(tmp_path):
     assert np.signbit(values.imag).tolist() == [False, True]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("layout", ["plain", "blank lines", "no final newline"])
+def test_complex_csv_read_across_blocks(tmp_path, monkeypatch, newline, layout):
+    # Blocks of 2 lines: a CRLF or an empty line may fall on a block edge.
+    rows = [f"{0.5 * k},{k + 1},{-k}" for k in range(9)]
+    if layout == "blank lines":
+        rows = ["", "", rows[0], "", "", "", *rows[1:4], "", *rows[4:], "", "", ""]
+    text = newline.join(["x,re,im", *rows]) + ("" if layout == "no final newline" else newline)
+    whole = _read_text(tmp_path, text)
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 2)
+    xs, values = _read_text(tmp_path, text)
+    np.testing.assert_array_equal(xs, 0.5 * np.arange(9))
+    np.testing.assert_array_equal(values, np.arange(1, 10) - 1j * np.arange(9))
+    assert xs.tobytes() == whole[0].tobytes() and values.tobytes() == whole[1].tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("7,abc,0", "row 9: expected 3 numbers, got '7,abc,0'"),
+    ("7,nan,0", "row 9: non-finite number"),
+    ("7.5,1,0", "row 9: abscissa 7.5 off the uniform lattice"),
+])
+def test_complex_csv_names_bad_row_in_a_later_block(tmp_path, monkeypatch, bad, message):
+    rows = [f"{k},1,0" for k in range(10)]
+    rows[7] = bad
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 3)
+    with pytest.raises(oqfio.FormatError, match=message):
+        _read_text(tmp_path, "x,re,im\n" + "\n".join(rows) + "\n")
+
+
+def test_complex_csv_read_peak_memory_is_bounded(tmp_path):
+    # 10^6 rows are parsed a block at a time into the result's arrays, so the
+    # traced peak stays within 1.25x the outputs' bytes; one table of the
+    # whole file, copied out, took 2.0x.
+    import tracemalloc
+
+    path = tmp_path / "big.csv"
+    k = np.arange(10**6)
+    xs, values = 0.25 * k - 1000.0, (k % 7 - 3.0) + 0.5j * (k % 5)
+    oqfio.write_complex_csv(path, "x", xs, values)
+    tracemalloc.start()
+    try:
+        read = oqfio.read_complex_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (read[0].nbytes + read[1].nbytes)
+    np.testing.assert_array_equal(read[0], xs)
+    np.testing.assert_array_equal(read[1], values)
+
+
 def _per_row_csv(header, row, *columns):
     # The row-at-a-time writer the blocked writers replaced.
     return "\n".join([header] + [row(*r) for r in zip(*columns)]) + "\n"

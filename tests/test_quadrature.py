@@ -697,6 +697,89 @@ def test_apply_weights_node_blocks_match_dense(n):
     assert zeros >= 2  # the two lattices that start at 0
 
 
+def _supports(n):
+    """Index sets of non-zero samples: a middle run, runs touching the first
+    and the last interior node, a single node, the end nodes only, none."""
+    return {
+        "middle": np.arange(n // 3, 2 * n // 3),
+        "first": np.arange(1, n // 4),
+        "last": np.arange(3 * n // 4, n),
+        "single": np.array([n // 2 + 1]),
+        "ends": np.array([0, n]),
+        "none": np.array([], dtype=int),
+    }
+
+
+@pytest.mark.parametrize("n", [300, 3 * 4096 + 1001])
+def test_apply_weights_sums_the_samples_support_only(n):
+    # n = 300 is one node block at 201 frequencies, 3 * 4096 + 1001 four; a
+    # support of the middle third or a quarter of it spans one or several.
+    rng = np.random.default_rng(n)
+    grid = UniformGrid(-0.7, 1.9, n)
+    shapes = _supports(n)
+    values = np.zeros((n + 1, len(shapes)), dtype=complex)
+    for col, nodes in enumerate(shapes.values()):
+        values[nodes, col] = rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size)
+    # three columns whose supports differ: the union is the summed range
+    multi = values[:, [1, 3, 4]]
+    zeros = 0
+    for omegas in _lattices(grid, 201):
+        dense = coefficient_matrix(grid, omegas) @ values
+        for col, name in enumerate(shapes):
+            fast = apply_weights(grid, omegas, values[:, col])
+            if name == "none":
+                assert not fast.any()  # exactly 0
+            else:
+                peak = np.abs(dense[:, col]).max()
+                assert np.abs(fast - dense[:, col]).max() <= 1e-12 * peak, name
+        fast = apply_weights(grid, omegas, multi)
+        assert np.abs(fast - dense[:, [1, 3, 4]]).max() <= 1e-12 * np.abs(dense[:, [1, 3, 4]]).max()
+        # an exact-zero row is the trapezoid sum, bit for bit
+        for zero in np.nonzero(omegas == 0.0)[0]:
+            np.testing.assert_array_equal(fast[zero], quadrature._trapezoid_weights(grid) @ multi)
+            zeros += 1
+    assert zeros >= 2  # the two lattices that start at 0
+
+
+def test_apply_weights_is_invariant_to_zero_padding():
+    # Samples on [-2, 2] that vanish at its ends, and the same samples padded
+    # with zeros to [-500, 500] at the same step 2**-6, so the two grids share
+    # their nodes exactly.  The optimal weights of the padded grid's zero
+    # samples add nothing, so both sums agree up to rounding.
+    rng = np.random.default_rng(21)
+    small, padded = UniformGrid(-2.0, 2.0, 256), UniformGrid(-500.0, 500.0, 64000)
+    assert small.h == padded.h == 2.0**-6
+    values = np.zeros(257, dtype=complex)
+    values[1:-1] = rng.normal(size=255) + 1j * rng.normal(size=255)
+    wide = np.zeros(64001, dtype=complex)
+    wide[31872 : 31872 + 257] = values
+    assert padded.nodes()[31872] == -2.0
+    for omegas in (np.linspace(-20.0, 20.0, 201), np.linspace(5.0, 0.0, 64)):
+        reference = apply_weights(small, omegas, values)
+        assert np.abs(apply_weights(padded, omegas, wide) - reference).max() <= (
+            1e-12 * np.abs(reference).max())
+
+
+def test_apply_weights_transforms_are_as_short_as_the_support(monkeypatch):
+    # 201 non-zero samples on a grid of 10^6 intervals: one node block of 201
+    # nodes, so every FFT is shorter than 1024.  Summing every interior node
+    # would take FFTs of length 4320, one row per node block of 4096.
+    lengths = []
+    fft = np.fft.fft
+
+    def recording(a, n=None, *args, **kwargs):
+        lengths.append(np.shape(a)[-1] if n is None else n)
+        return fft(a, n, *args, **kwargs)
+
+    grid = UniformGrid(-5000.0, 5000.0, 10**6)
+    values = np.zeros(grid.n + 1, dtype=complex)
+    values[499900:500101] = 1.0
+    omegas = np.linspace(-10.0, 10.0, 201)
+    monkeypatch.setattr(np.fft, "fft", recording)
+    apply_weights(grid, omegas, values)
+    assert lengths and max(lengths) < 1024
+
+
 def _single_convolution(grid, omegas, values):
     # The chirp-z sum as one convolution over all interior nodes about node
     # n // 2, the arithmetic that node blocks extend, for one frequency block.
@@ -750,6 +833,8 @@ def test_inverse_transform_peak_memory_is_bounded_along_the_sample_grid():
     # peak within 2x the samples' bytes (one convolution over the whole grid
     # took 5.8x).  What is left is the trapezoid weights of the exact
     # omega = 0 row and one FFT buffer of at most _DENSE_BLOCK_WEIGHTS entries.
+    # The Gaussian underflows to 0 past |x| ~ 15.4, so only that support,
+    # about 31 % of the grid, is summed: still about 77 node blocks of 8004.
     import tracemalloc
 
     from oqf.grid import SampledFunction
