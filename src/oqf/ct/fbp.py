@@ -1,14 +1,14 @@
 """Filtered back-projection built on the optimal quadrature transforms.
 
-The ramp filter is the optimal forward transform of a projection onto the
-sinogram's frequency lattice, the ramp |omega| up to the detector Nyquist,
-and the optimal inverse transform back onto the detector bins.  Both
-transforms are the same for every angle, so filter_projections builds their
-product, one real n x n operator per detector geometry, from the closed-form
-weights (a Toeplitz part scaled per bin plus a rank-3 part at the end bins)
-and applies it to all angles as one real FFT convolution.  Back-projection
-integrates the filtered projections over the half rotation with a plain
-Riemann sum in angle and linear interpolation in detector position.
+The ramp filter is the optimal forward transform of a projection, the ramp
+|omega| up to the detector Nyquist, and the inverse Fourier integral back at
+the detector bins, taken exactly over the band.  That product is one real
+n x n operator per detector spacing, the same for every angle and every
+detector offset, with a closed form (a Toeplitz part plus two end
+columns); filter_projections applies it to all angles as one real FFT
+convolution.  Back-projection integrates the filtered projections over the
+half rotation with a plain Riemann sum in angle and linear interpolation in
+detector position.
 
 Back-projection reads each angle's detector values from a lerp table by
 index arithmetic, one strip of raster rows at a time, and shares one index
@@ -27,9 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..quadrature import (
-    TWO_PI, _fft_length, _frequencies, _half_turns, _interior_factor, _left_factor,
-)
+from ..quadrature import _fft_length
 from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic, run_strips
 
 
@@ -37,8 +35,9 @@ from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic, run_st
 class FilteredSinogram(Sinogram):
     """Ramp-filtered projections on the same lattice as their source sinogram.
 
-    max_imag bounds the imaginary part the filter's complex operator would
-    leave on the data (see filter_projections).
+    max_imag is always 0.0: the filter's operator is real (see
+    filter_projections).  It stays a field because the benchmark harness
+    reads it.
     """
 
     max_imag: float = 0.0
@@ -79,107 +78,74 @@ class FbpConfig:
         return radon_analytic(phantom, num_angles, 180.0 / num_angles, cfg.num_bins)
 
 
+def _ramp_integrals(n: int) -> np.ndarray:
+    """P_k = int_0^pi (1 - (-1)^k cos s)/(k pi + s) ds for k = 0..n-1.
+
+    P_k is Cin((k + 1) pi) - Cin(k pi), Cin(x) = int_0^x (1 - cos u)/u du.
+    The integrand is analytic on [0, pi], and for k >= 1 its pole at
+    s = -k pi lies at least pi away, so a 12-point Gauss-Legendre sum is
+    exact to rounding.
+    1 -+ cos s is taken as 2 sin^2(s/2) or 2 cos^2(s/2), without cancellation.
+    """
+    x, w = np.polynomial.legendre.leggauss(12)
+    half = 0.25 * math.pi * (x + 1.0)  # s/2 at the nodes
+    k = np.arange(n)[:, None]
+    num = np.where(k % 2 == 0, np.sin(half) ** 2, np.cos(half) ** 2)
+    return (num / (k * math.pi + 2.0 * half)) @ (math.pi * w)
+
+
 def filter_projections(sino: Sinogram) -> FilteredSinogram:
-    """Ramp-filter every projection with K = Re(W_inv diag|omega| W_fwd).
+    """Ramp-filter every projection with the exact band integral
 
-    W_fwd holds the optimal weights of the forward transform from the n
-    detector bins t_i = t0 + i dt to the sinogram's own frequency lattice,
-    omega_k = (k/(4n) - 1/2)/dt for k = 0..4n (up to the detector Nyquist
-    1/(2 dt)), and W_inv those of the inverse transform from that lattice
-    back to the bins.  Every angle takes the same n x n operator
+        K[i, j] = int_{-B}^{B} |omega| e^{2 pi i omega t_i} C_j(-omega) d omega,
 
-        K = diag(s) (toeplitz(T) + g_0 e_0^T + g_{n-1} e_{n-1}^T)
-            + w (e_0 - (-1)^(n-1) e_{n-1})^T,
+    C_j the optimal forward weights of detector bin t_j = t0 + j dt and
+    B = 1/(2 dt) the detector Nyquist: the optimal forward transform, the
+    ramp, and the inverse Fourier integral taken exactly rather than on a
+    frequency lattice.  K does not depend on t0 and has a real closed form in
+    P = _ramp_integrals(n) and s = 1/(2 pi^2 dt), so max_imag is 0.0:
 
-    built from the closed forms I = _interior_factor and L = _left_factor
-    at theta_k = 2 pi omega_k dt and phi_i = 2 pi t_i tau, tau = 1/(4n dt):
+    - interior columns are toeplitz(T) with T(0) = 2 P_0 s and
+      T(d) = (P_d - P_{d-1}) s;
+    - column 0 is T(i) + e_i s with e_i = (1 - (-1)^i)/i - P_i, e_0 = -P_0;
+    - column n - 1 is column 0 reversed.
 
-    - s_i = tau I(phi_i) is the inverse interior weight;
-    - T(d) = sum_{k<4n} |omega_k dt| I(theta_k) e^{2 pi i omega_k d dt} at
-      d = i - j.  The two band ends share the phase (-1)^d, and the real
-      parts of their inverse weights tau L(phi) and tau conj L(phi) add up
-      to s, so they count once;
-    - g_0 and g_{n-1} replace the interior forward weight by the end bins'
-      conj L(theta_k) and L(theta_k) in the first and last column;
-    - w_i = -(-1)^i tau Im L(phi_i) Im L(pi) is what the imaginary parts of
-      the band ends' weights leave.
+    K is applied to all angles as one real FFT convolution with T, of length
+    N = _fft_length(2n - 1), plus a rank-2 product with the end samples.
 
-    On this lattice omega_k d dt = k d/(4n) - d/2, so T and g_0 come from
-    one complex FFT of length 4n (g_{n-1} is g_0 reversed).  K is applied to
-    all angles as one real FFT convolution of length >= 2n - 1, scaled by s,
-    plus a rank-3 product with the end samples.  It equals the two
-    transforms applied in turn to within rounding.
-
-    K is real in exact arithmetic because the lattice is symmetric about
-    omega = 0.  max_imag bounds what the complex operator, as its factors
-    are evaluated here, would leave in the imaginary part on this data: the
-    largest row sum of |Im K| times max |data|, with no second convolution.
-    The output carries no imaginary part; max_imag is 0.0 for all-zero data.
-
-    Raises ValueError for bins past the closed forms' range at step tau
-    (see quadrature._frequencies), and for samples that are not finite or
-    exceed 2**1020 / (max(1, tau) N**4), N the convolution length, so no FFT
-    intermediate or output can overflow.
+    Raises ValueError for samples that are not finite or exceed
+    2**1020 / (max(1, s) N**4), so no FFT intermediate or output can
+    overflow, and for any sample at a spacing whose s overflows.
     """
     n, dt = sino.num_bins, sino.dt
-    m = 4 * n
-    tau = 1.0 / (2.0 * dt) / (2 * n)
-    bins = _frequencies(sino.bins(), tau)
+    scale = 0.5 / math.pi**2 / dt
     length = _fft_length(2 * n - 1)
     data = sino.data
     peak = max(data.max(), -data.min())
-    # |rfft(f)| <= n F and |rfft(kernel)| <= (2n - 1) 2n, so no FFT
-    # intermediate passes N**4 F and no output tau N**4 F.
-    limit = 2.0**1020 / (max(1.0, tau) * float(length) ** 4)
-    if not peak <= limit:  # also catches NaN
+    # Every entry of K is below 4 s, so |rfft(kernel)| <= 4 N s, |rfft(f)| <= N F
+    # and no FFT intermediate passes 4 N**3 s F, below 2**1024 at this limit.
+    limit = 2.0**1020 / (max(1.0, scale) * float(length) ** 4)
+    if not (peak <= limit and limit > 0.0):  # also catches NaN, and s = inf
         raise ValueError(f"projections must be finite with |value| <= {limit:.6g} "
                          f"for {n} bins at spacing {dt:g}")
 
-    # Symbols over k = 0..4n - 1, with omega_k dt exact at the band ends.
-    wdt = np.arange(m + 1) / m - 0.5
-    theta = TWO_PI * wdt
-    interior = np.abs(wdt) * _interior_factor(theta)
-    first_bin = np.abs(wdt) * np.conj(_left_factor(theta))
-    symbols = np.zeros((2, m), dtype=complex)
-    symbols[0] = interior[:m]
-    symbols[1, 1:] = first_bin[1:m] - interior[1:m]  # the band ends enter below
-    sums = np.fft.ifft(symbols, norm="forward")  # sum_k c_k e^{2 pi i k d/(4n)} at d mod 4n
-    sums[:, 1::2] *= -1.0
-    toeplitz, first_col = sums
-
-    # At the band ends the end bins' forward weights beta and conj(beta) meet
-    # the inverse weights tau L(phi) and tau conj L(phi), whose real parts sum
-    # to s; the imaginary parts leave w times f_0 - (-1)^(n-1) f_{n-1}, a
-    # difference taken from the data, so equal end samples cancel exactly.
-    phi = TWO_PI * bins * tau
-    turns = _half_turns(2.0 * tau, bins)  # phi / pi mod 2, exactly reduced
-    s = tau * _interior_factor(phi, turns)
-    i = np.arange(n)
-    sign = 1.0 - 2.0 * (i % 2)
-    last_sign = -1.0 if n % 2 == 0 else 1.0
-    beta = first_bin[0]
-    end = sign * (beta.real - interior[0])
-    cols = np.stack([first_col[i] + end, np.conj(first_col[n - 1 - i]) + last_sign * end])
-    w = sign * (-2.0 * tau * beta.imag) * _left_factor(phi, turns).imag
+    p = _ramp_integrals(n)
+    toeplitz = np.diff(p, prepend=-p[0]) * scale
+    i = np.arange(1, n)
+    end = -p
+    end[1:] += (i % 2) * 2.0 / i
+    end *= scale
 
     kernel = np.zeros(length)
-    kernel[:n] = toeplitz[:n].real
-    kernel[length - n + 1:] = toeplitz[m - n + 1:].real
+    kernel[:n] = toeplitz
+    kernel[length - n + 1:] = toeplitz[:0:-1]
     buffer = np.zeros((sino.num_angles, length))
     buffer[:, :n] = data
     spectra = np.fft.rfft(buffer, axis=1)
     spectra *= np.fft.rfft(kernel)
     filtered = np.fft.irfft(spectra, length, axis=1, out=buffer)[:, :n]
-    filtered *= s
-    ends = np.stack([data[:, 0], data[:, -1], data[:, 0] - last_sign * data[:, -1]], axis=1)
-    filtered += ends @ np.vstack([s * cols.real, w])
-
-    # Row i of toeplitz(Im T) spans lags d = i - n + 1 .. i.
-    lags = np.abs(np.concatenate([toeplitz[m - n + 1:], toeplitz[:n]]).imag)
-    window = np.concatenate([[0.0], np.cumsum(lags)])
-    rows = s * (window[n:] - window[:n] + np.abs(cols.imag).sum(axis=0))
-    max_imag = float(rows.max() * peak)
-    return FilteredSinogram(*sino.geometry(), data=filtered, max_imag=max_imag)
+    filtered += data[:, [0, -1]] @ np.stack([end, end[::-1]])
+    return FilteredSinogram(*sino.geometry(), data=filtered)
 
 
 def _square_orbits(theta0: float, dtheta: float, num_angles: int) -> list[list[tuple[int, int]]]:

@@ -125,22 +125,18 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:  # universal newlines: CRLF and CR end rows too
         if len(fh.readline().rstrip("\n").split(",")) != 3:
             raise FormatError(f"{path}: missing or malformed header")
-        try:
-            tables = _parse_blocks(fh)
-            head = list(itertools.islice(tables, 2))
-            # every line but the header, an upper bound on the data rows
-            size = _line_count(path) - 1 if len(head) == 2 else sum(map(len, head))
-            xs = np.empty(size)
-            values = np.empty(size, dtype=complex)
-            pairs = values.view(float).reshape(-1, 2)
-            rows = 0
-            for table in itertools.chain(head, tables):
-                block = slice(rows, rows + len(table))
-                xs[block], pairs[block] = table[:, 0], table[:, 1:]
-                rows += len(table)
-        except ValueError:
-            row, reason = _first_bad_row(path)
-            raise FormatError(f"{path}: row {row}: {reason}") from None
+        tables = _parse_blocks(path, fh)
+        head = list(itertools.islice(tables, 2))
+        # every line but the header, an upper bound on the data rows
+        size = _line_count(path) - 1 if len(head) == 2 else sum(map(len, head))
+        xs = np.empty(size)
+        values = np.empty(size, dtype=complex)
+        pairs = values.view(float).reshape(-1, 2)
+        rows = 0
+        for table in itertools.chain(head, tables):
+            block = slice(rows, rows + len(table))
+            xs[block], pairs[block] = table[:, 0], table[:, 1:]
+            rows += len(table)
     if rows < 2:
         raise FormatError(f"{path}: need at least 2 data rows, got {rows}")
     del pairs
@@ -161,26 +157,36 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
         if bad.size:
             index = start + bad[0]
-            row = _data_rows(path)[index][0]
+            with open(path) as fh:
+                row, _ = next(itertools.islice(_data_rows(fh), index, None))
             raise FormatError(
                 f"{path}: row {row}: abscissa {float(xs[index])!r} off the uniform lattice"
             )
     return xs, values
 
 
-def _parse_blocks(fh):
+def _parse_blocks(path: str | Path, fh):
     """The (rows, 3) float tables of successive blocks of at most
-    _CSV_BLOCK_ROWS lines of a text file, each starting at a non-empty line,
-    so np.loadtxt never meets input with no data.  The lines stream through
-    the parser, so no block's text is held.  ValueError at the first block
-    that holds a line other than three numbers, or a non-finite one."""
+    _CSV_BLOCK_ROWS lines of the text file ``path`` after its header line,
+    open as ``fh``, each starting at a non-empty line, so np.loadtxt never
+    meets input with no data.  The lines stream through the parser, so no
+    block's text is held.  FormatError naming the first bad row of the first
+    block that holds a line other than three numbers, or a non-finite one."""
+    line = 1  # the file lines read so far
     while first := fh.readline():
+        line += 1
         if first == "\n":
             continue
-        table = _parse_rows(itertools.chain([first], itertools.islice(fh, _CSV_BLOCK_ROWS - 1)))
-        if not np.isfinite(table).all():
-            raise ValueError("non-finite number")
+        try:
+            table = _parse_rows(
+                itertools.chain([first], itertools.islice(fh, _CSV_BLOCK_ROWS - 1)))
+            if not np.isfinite(table).all():
+                raise ValueError("non-finite number")
+        except ValueError:
+            row, reason = _first_bad_row(path, line)
+            raise FormatError(f"{path}: row {row}: {reason}") from None
         yield table
+        line += _CSV_BLOCK_ROWS - 1  # a block ends short only at the end of the file
 
 
 def _line_count(path: str | Path) -> int:
@@ -207,21 +213,28 @@ def _parse_rows(lines) -> np.ndarray:
     return table
 
 
-def _data_rows(path: str | Path) -> list[tuple[int, str]]:
-    """The file's non-empty data lines with their 1-based line numbers."""
-    lines = Path(path).read_text().split("\n")
-    return [(num, line) for num, line in enumerate(lines[1:], start=2) if line]
+def _data_rows(fh, first: int = 2):
+    """(line number, text) of each non-empty line of the open text file
+    ``fh`` from its line ``first`` on (1-based; 2 follows the header),
+    streamed."""
+    lines = itertools.islice(fh, first - 1, None)
+    return ((num, line.rstrip("\n")) for num, line in enumerate(lines, start=first)
+            if line != "\n")
 
 
-def _first_bad_row(path: str | Path) -> tuple[int, str]:
+def _first_bad_row(path: str | Path, start: int) -> tuple[int, str]:
     """Row number and reason of the first data row that is not three finite
-    numbers, for a file known to hold one.
+    numbers, in the block of _CSV_BLOCK_ROWS lines from file line ``start``,
+    known to hold one.  The lines before the block stream past, and the
+    block's rows are among the first _CSV_BLOCK_ROWS from its start, so only
+    those are held.
 
     A run of rows parses to finite numbers exactly when it holds no bad row,
     so bisection keeps the rows before ``lo`` good and the first bad row in
-    ``rows[lo:hi]``, parsing at most as many rows in all as the file has.
+    ``rows[lo:hi]``, parsing at most as many rows again in all.
     """
-    rows = _data_rows(path)
+    with open(path) as fh:
+        rows = list(itertools.islice(_data_rows(fh, start), _CSV_BLOCK_ROWS))
 
     def parses(first, last, finite=True):
         try:

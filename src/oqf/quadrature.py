@@ -114,26 +114,19 @@ def _by_theta(theta, series, direct, *args):
     return out
 
 
-def _interior_factor(theta, turns=None):
-    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized.
-
-    turns, if given, is theta/pi reduced mod 2 (see _half_turns); the cosine
-    then takes pi turns, so a large theta's rounding does not reach it.
-    """
-    angle = theta if turns is None else math.pi * turns
+def _interior_factor(theta):
+    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
     return _by_theta(theta, lambda t: np.polyval(_INTERIOR_SERIES, t * t),
-                     lambda t, a: 2.0 * (1.0 - np.cos(a)) / (t * t), angle)
+                     lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
 
 
-def _left_factor(theta, turns=None):
+def _left_factor(theta):
     """(1 + i theta - e^{i theta})/theta^2, stable near theta = 0.  Vectorized.
 
-    Equals (e^z - 1 - z)/z^2 with z = i theta.  turns is as in
-    _interior_factor and, if given, is what the exponential takes.
+    Equals (e^z - 1 - z)/z^2 with z = i theta.
     """
-    angle = theta if turns is None else math.pi * turns
     return _by_theta(theta, lambda t: np.polyval(_LEFT_SERIES, 1j * t),
-                     lambda t, a: (1.0 + 1j * t - np.exp(1j * a)) / (t * t), angle)
+                     lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
 
 
 def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -180,6 +181,45 @@ def test_complex_csv_read_peak_memory_is_bounded(tmp_path):
     assert peak <= 1.25 * (read[0].nbytes + read[1].nbytes)
     np.testing.assert_array_equal(read[0], xs)
     np.testing.assert_array_equal(read[1], values)
+
+
+def test_complex_csv_names_a_late_bad_row_from_its_block(tmp_path, monkeypatch):
+    # Naming a bad row re-reads only its block of lines, after a streamed
+    # count of the lines before it, and an off-lattice row's line is streamed
+    # too, so a late bad row costs a few blocks beyond the read that found it.
+    # Reading the whole file's lines to name it took 7x the arrays' bytes more.
+    import tracemalloc
+
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 256)
+    rows = 5 * 10**4
+    path = tmp_path / "big.csv"
+    xs = 0.25 * np.arange(rows)
+    oqfio.write_complex_csv(path, "x", xs, np.ones(rows))
+    lines = path.read_text().splitlines()
+
+    def traced_read(text):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            oqfio.read_complex_csv(path)
+        except oqfio.FormatError as exc:
+            message = str(exc)
+        else:
+            message = None
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak, message
+
+    good, message = traced_read("\n".join(lines) + "\n")
+    assert message is None
+    last = xs[-1]
+    for index, bad, reason in ((rows - 1, f"{last},abc,0", "expected 3 numbers"),
+                               (rows - 1, f"{last},nan,0", "non-finite number"),
+                               (rows - 2, f"{last - 0.2},1,0", "abscissa .* off the uniform")):
+        text = "\n".join(lines[: index + 1] + [bad] + lines[index + 2 :]) + "\n"
+        peak, message = traced_read(text)
+        assert re.search(f"row {index + 2}: {reason}", message), message
+        assert peak - good <= 4 * 256 * 128, reason
 
 
 def _per_row_csv(header, row, *columns):

@@ -432,16 +432,14 @@ def _two_branch(theta, series, direct):
         return np.where(small, near, direct(theta))
 
 
-def _interior_two_branch(theta, turns=None):
-    angle = theta if turns is None else math.pi * turns
+def _interior_two_branch(theta):
     return _two_branch(theta, lambda t: np.polyval(quadrature._INTERIOR_SERIES, t * t),
-                       lambda t: 2.0 * (1.0 - np.cos(angle)) / (t * t))
+                       lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
 
 
-def _left_two_branch(theta, turns=None):
-    angle = theta if turns is None else math.pi * turns
+def _left_two_branch(theta):
     return _two_branch(theta, lambda t: np.polyval(quadrature._LEFT_SERIES, 1j * t),
-                       lambda t: (1.0 + 1j * t - np.exp(1j * angle)) / (t * t))
+                       lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
 
 
 def _error_norm_two_branch(omegas, h):
@@ -462,10 +460,8 @@ def _around(edge):
     np.concatenate([[0.0, 1e-300, -1e-9], np.linspace(-0.49, 0.49, 19)]),
 ], ids=["both", "direct_only", "series_only"])
 def test_each_entry_takes_one_branch_with_the_two_branch_bits(thetas):
-    turns = np.fmod(thetas / math.pi, 2.0)
-    for turn in (None, turns):
-        _same_bits(quadrature._interior_factor(thetas, turn), _interior_two_branch(thetas, turn))
-        _same_bits(quadrature._left_factor(thetas, turn), _left_two_branch(thetas, turn))
+    _same_bits(quadrature._interior_factor(thetas), _interior_two_branch(thetas))
+    _same_bits(quadrature._left_factor(thetas), _left_two_branch(thetas))
     for h in (0.125, 3.0):
         omegas = thetas / (TWO_PI * h)
         if (np.abs(thetas) < SMALL_THETA).any():  # the branch edge in omega
