@@ -255,14 +255,38 @@ def test_reconstruction_matches_two_transform_route(size, dtheta_deg):
     assert np.abs(recon - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_filter_is_the_same_at_every_detector_offset():
-    # The operator does not depend on t0, so the same data a million bins
-    # off centre, or at t0 = 1e160, filters to the same bits.
-    data = np.random.default_rng(4).normal(size=(4, 41))
-    dt = 0.013
-    outs = [filter_projections(Sinogram(4, 41, 0.0, 0.2, t0, dt, data)).data.tobytes()
-            for t0 in (0.0, 1e6 * dt, 1e160)]
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+@pytest.mark.parametrize("t0_bins, dt", [(1e6, 2.0**-5), (-1e6, 2.0**-5), (1e6, 0.013)])
+def test_filter_bin_phases_are_reduced_exactly(t0_bins, dt):
+    # A million bins off centre the phases 2 pi t_i omega run to a hundred
+    # thousand radians.  The operator does not depend on t0, so it loses none
+    # of them: the same data filters to the same bits as on a detector at 0 or
+    # at t0 = 1e160, and an interior impulse at any bin leaves the same K(0)
+    # on the diagonal.
+    n = 9
+    mk = lambda t0: Sinogram(n, n, 0.0, 0.1, t0, dt, np.eye(n))
+    out = filter_projections(mk(t0_bins * dt)).data
+    for t0 in (0.0, 1e160):
+        assert filter_projections(mk(t0)).data.tobytes() == out.tobytes()
+    diag = np.diag(out)[1:-1]
+    assert np.abs(diag - diag[0]).max() <= 1e-14 * np.abs(diag).max()
+    if dt == 2.0**-5:
+        # on a power-of-two step the two-transform route, which reduces the
+        # phases exactly, lies on the same bins
+        assert_filter_parity(mk(t0_bins * dt))
+
+
+def test_filter_max_imag_bounds_the_operator_on_the_data_peak():
+    # max_imag bounds |Im K| times the data's peak.  K is real, so the bound is
+    # 0.0 for every data set; the two-transform route, which sums complex
+    # exponentials, leaves a residue of rounding size.
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(4, 41))
+    mk = lambda d: Sinogram(4, 41, 0.0, 0.2, -1.0, 0.05, d)
+    peak = np.abs(data).max()
+    for d in (data, -data, np.full((4, 41), peak), 4.0 * data):
+        assert filter_projections(mk(d)).max_imag == 0.0
+    out = filter_projections(mk(data)).data
+    assert np.abs(two_transform_filter(mk(data)).imag).max() <= 1e-14 * np.abs(out).max()
 
 
 def test_filter_holds_no_per_frequency_array():
