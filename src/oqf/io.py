@@ -62,13 +62,9 @@ def _atomic_file(path: str | Path):
         raise
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(payload)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
+    with _atomic_file(path) as fh:
+        fh.write(text.encode())
 
 
 def _write_csv(path: str | Path, header: str, row_format: str, columns) -> None:
@@ -127,7 +123,9 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise FormatError(f"{path}: missing or malformed header")
         tables = _parse_blocks(path, fh)
         head = list(itertools.islice(tables, 2))
-        # every line but the header, an upper bound on the data rows
+        # every line but the header, an upper bound on the data rows; a file
+        # of one block is not counted, so it is read in one pass, and a pipe
+        # (a FIFO, /dev/stdin), which a count would open again, still loads
         size = _line_count(path) - 1 if len(head) == 2 else sum(map(len, head))
         xs = np.empty(size)
         values = np.empty(size, dtype=complex)
@@ -226,31 +224,16 @@ def _first_bad_row(path: str | Path, start: int) -> tuple[int, str]:
     """Row number and reason of the first data row that is not three finite
     numbers, in the block of _CSV_BLOCK_ROWS lines from file line ``start``,
     known to hold one.  The lines before the block stream past, and the
-    block's rows are among the first _CSV_BLOCK_ROWS from its start, so only
-    those are held.
-
-    A run of rows parses to finite numbers exactly when it holds no bad row,
-    so bisection keeps the rows before ``lo`` good and the first bad row in
-    ``rows[lo:hi]``, parsing at most as many rows again in all.
-    """
+    block's rows are parsed one at a time up to the bad one, so each is
+    parsed once and only one is held."""
     with open(path) as fh:
-        rows = list(itertools.islice(_data_rows(fh, start), _CSV_BLOCK_ROWS))
-
-    def parses(first, last, finite=True):
-        try:
-            table = _parse_rows([line for _, line in rows[first:last]])
-        except ValueError:
-            return False
-        return not finite or np.isfinite(table).all()
-
-    lo, hi = 0, len(rows)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if parses(lo, mid) else (lo, mid)
-    num, line = rows[lo]
-    if parses(lo, hi, finite=False):
-        return num, "non-finite number"
-    return num, f"expected 3 numbers, got {line!r}"
+        for num, line in itertools.islice(_data_rows(fh, start), _CSV_BLOCK_ROWS):
+            try:
+                finite = np.isfinite(_parse_rows([line])).all()
+            except ValueError:
+                return num, f"expected 3 numbers, got {line!r}"
+            if not finite:
+                return num, "non-finite number"
 
 
 def _check_finite(path: str | Path, data: np.ndarray) -> None:
@@ -261,13 +244,19 @@ def _check_finite(path: str | Path, data: np.ndarray) -> None:
 
 
 def _write_container(path: str | Path, magic: bytes, header: tuple, data: np.ndarray) -> None:
+    """The container's header, then ``data``'s own buffer as f64; no copy of
+    native little-endian C-ordered data is made."""
     _check_finite(path, data)
-    payload = magic + _HEADER.pack(*header) + np.ascontiguousarray(data, dtype="<f8").tobytes()
-    atomic_write_bytes(path, payload)
+    with _atomic_file(path) as fh:
+        fh.write(magic + _HEADER.pack(*header))
+        fh.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def _read_container(path: str | Path, magic: bytes, check) -> tuple[tuple, np.ndarray]:
-    """Header fields and finite data of a binary container whose header passes ``check``."""
+    """Header fields and finite data of a binary container whose header passes
+    ``check``.  The whole file is read first, so its length is checked before
+    anything the header sizes is allocated and a pipe loads too; the data is
+    then copied once out of the file's bytes, to be writable."""
     raw = Path(path).read_bytes()
     if raw[:8] != magic:
         raise FormatError(f"{path}: bad magic at offset 0")
@@ -284,7 +273,7 @@ def _read_container(path: str | Path, magic: bytes, check) -> tuple[tuple, np.nd
     expected = header_size + 8 * shape[0] * shape[1]
     if len(raw) != expected:
         raise FormatError(f"{path}: payload ends at offset {len(raw)}, expected {expected}")
-    data = np.frombuffer(raw[header_size:], dtype="<f8").reshape(shape)
+    data = np.frombuffer(raw, dtype="<f8", offset=header_size).reshape(shape)
     finite = np.isfinite(data)
     if not finite.all():
         raise FormatError(f"{path}: non-finite value at offset {header_size + 8 * finite.argmin()}")
@@ -321,7 +310,7 @@ def write_pgm16(path: str | Path, image: ImageGrid) -> None:
         scaled = (image.pixels - lo) / span * 65535.0
     else:  # the span overflows; half of it does not
         scaled = (image.pixels / 2 - lo / 2) / (hi / 2 - lo / 2) * 65535.0
-    quantized = np.round(scaled).astype(">u2")
-    header = f"P5\n{image.cols} {image.rows}\n65535\n".encode()
-    atomic_write_bytes(path, header + quantized.tobytes())
+    with _atomic_file(path) as fh:
+        fh.write(f"P5\n{image.cols} {image.rows}\n65535\n".encode())
+        fh.write(np.round(scaled).astype(">u2"))
     atomic_write_text(Path(str(path) + ".scale"), f"min={lo!r}\nmax={hi!r}\n")

@@ -367,6 +367,83 @@ def test_writes_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _traced_peak(call, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, shape", [("sinogram", (360, 729)), ("image", (512, 512))])
+def test_container_is_written_from_its_array_and_read_with_one_copy(tmp_path, kind, shape):
+    # The writer streams the array's own buffer after the header, and the
+    # reader's only copy is the writable result beside the file's bytes:
+    # concatenating the payload traced 2.00x the data, slicing it 3.13x.
+    data = np.random.default_rng(3).normal(size=shape)
+    if kind == "sinogram":
+        value = Sinogram(*shape, 0.0, np.pi / 360, -1.0, 2.0 / 728, data)
+        magic, header = oqfio.SINO_MAGIC, value.geometry()
+        write, read = oqfio.write_sinogram, lambda p: oqfio.read_sinogram(p).data
+    else:
+        value = ImageGrid(*shape, data, (-1.0, -1.0, 1.0, 1.0))
+        magic, header = oqfio.IMG_MAGIC, (*shape, *value.extent)
+        write, read = oqfio.write_image, lambda p: oqfio.read_image(p).pixels
+    path = tmp_path / kind
+    _, peak = _traced_peak(write, path, value)
+    assert peak <= 0.5 * data.nbytes
+    assert path.read_bytes() == magic + oqfio._HEADER.pack(*header) + data.astype("<f8").tobytes()
+    loaded, peak = _traced_peak(read, path)
+    assert peak <= 2.5 * data.nbytes
+    assert loaded.flags.writeable
+    np.testing.assert_array_equal(loaded, data)
+
+
+def test_pipe_inputs_load_as_files_do(tmp_path):
+    # A FIFO can be read once: a CSV of one block and a container each load
+    # from a single pass, so `cat s.csv | oqf ft --input /dev/stdin` works.
+    # A reader that opened the path again would block, so an alarm ends it.
+    import signal
+    import threading
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    csv = tmp_path / "s.csv"
+    csv.write_text("x,re,im\n0,1,0\n0.5,2,-1\n1,3,0\n")
+    sino = tmp_path / "s.sino"
+    oqfio.write_sinogram(sino, Sinogram(2, 3, 0.0, 0.1, -1.0, 0.5, np.arange(6.0).reshape(2, 3)))
+
+    def fed(payload, read):
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+        writer.start()
+        result = read(fifo)
+        writer.join()
+        return result
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the reader opened the pipe again")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        xs, values = fed(csv.read_bytes(), oqfio.read_complex_csv)
+        expected = oqfio.read_complex_csv(csv)
+        assert xs.tobytes() == expected[0].tobytes()
+        assert values.tobytes() == expected[1].tobytes()
+        np.testing.assert_array_equal(fed(sino.read_bytes(), oqfio.read_sinogram).data,
+                                      oqfio.read_sinogram(sino).data)
+        size = len(sino.read_bytes())
+        with pytest.raises(oqfio.FormatError,
+                           match=f"payload ends at offset {size - 8}, expected {size}"):
+            fed(sino.read_bytes()[:-8], oqfio.read_sinogram)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_pgm16_header_and_sidecar(tmp_path):
     img = ImageGrid(2, 3, np.array([[0.0, 0.5, 1.0], [1.0, 0.25, 0.0]]))
     path = tmp_path / "out.pgm"
