@@ -14,11 +14,14 @@ All writers go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import os
+import stat
 import struct
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -113,27 +116,32 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     Returns (abscissae, complex values).  Raises FormatError naming the
     file line of the first offending row on non-uniform spacing, non-finite
     numbers or malformed content.  Rows are parsed by np.loadtxt a block of
-    _CSV_BLOCK_ROWS lines at a time into the result's arrays, sized by the
-    file's line count when it holds more than one block, so beside the
-    result at most three blocks' tables are held; empty lines are skipped
-    but counted in row numbers, and a number may be quoted.
+    _CSV_BLOCK_ROWS lines at a time.  A regular file of more than one block
+    has the result's arrays sized by its line count and filled block by
+    block, so beside the result at most three blocks' tables are held; any
+    other input (a pipe, /dev/stdin) can be read only once, so its blocks'
+    tables are held and joined once.  Empty lines are skipped but counted in
+    row numbers, and a number may be quoted.
     """
     with open(path) as fh:  # universal newlines: CRLF and CR end rows too
         if len(fh.readline().rstrip("\n").split(",")) != 3:
             raise FormatError(f"{path}: missing or malformed header")
-        tables = _parse_blocks(path, fh)
-        head = list(itertools.islice(tables, 2))
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        blocks = _parse_blocks(path, fh, regular)
+        head = list(itertools.islice(blocks, 2) if regular else blocks)
         # every line but the header, an upper bound on the data rows; a file
-        # of one block is not counted, so it is read in one pass, and a pipe
-        # (a FIFO, /dev/stdin), which a count would open again, still loads
-        size = _line_count(path) - 1 if len(head) == 2 else sum(map(len, head))
+        # of one block is not counted, so it is read in one pass
+        size = (_line_count(path) - 1 if regular and len(head) == 2
+                else sum(len(table) for *_, table in head))
         xs = np.empty(size)
         values = np.empty(size, dtype=complex)
         pairs = values.view(float).reshape(-1, 2)
+        spans = []  # (rows before, rows, first line, last line) of each block
         rows = 0
-        for table in itertools.chain(head, tables):
+        for first, last, table in itertools.chain(head, blocks):
             block = slice(rows, rows + len(table))
             xs[block], pairs[block] = table[:, 0], table[:, 1:]
+            spans.append((rows, len(table), first, last))
             rows += len(table)
     if rows < 2:
         raise FormatError(f"{path}: need at least 2 data rows, got {rows}")
@@ -155,36 +163,65 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
         if bad.size:
             index = start + bad[0]
-            with open(path) as fh:
-                row, _ = next(itertools.islice(_data_rows(fh), index, None))
+            row = _row_line(path, regular, spans, index)
             raise FormatError(
-                f"{path}: row {row}: abscissa {float(xs[index])!r} off the uniform lattice"
+                f"{path}: {row}: abscissa {float(xs[index])!r} off the uniform lattice"
             )
     return xs, values
 
 
-def _parse_blocks(path: str | Path, fh):
-    """The (rows, 3) float tables of successive blocks of at most
+def _row_line(path: str | Path, regular: bool, blocks: list, index: int) -> str:
+    """The text 'row N', N the file line of data row ``index``, found from
+    its block, given as (rows before it, its rows, its first and last file
+    lines).  A regular file streams the block's lines again.  Other input is
+    never opened again, which would block on a FIFO: its row is named when
+    its block holds no empty line, so that each line is a row, and
+    otherwise the block's lines are named."""
+    before, count, first, last = blocks[bisect.bisect_right(blocks, index, key=itemgetter(0)) - 1]
+    if regular:
+        with open(path) as fh:
+            lines = itertools.islice(fh, first - 1, None)
+            row, _ = next(itertools.islice(_data_rows(lines, first), index - before, None))
+        return f"row {row}"
+    if count == last - first + 1:
+        return f"row {first + index - before}"
+    return f"a row in lines {first}-{last}"
+
+
+def _parse_blocks(path: str | Path, fh, regular: bool):
+    """(first line, last line, table) of successive blocks of at most
     _CSV_BLOCK_ROWS lines of the text file ``path`` after its header line,
-    open as ``fh``, each starting at a non-empty line, so np.loadtxt never
-    meets input with no data.  The lines stream through the parser, so no
-    block's text is held.  FormatError naming the first bad row of the first
-    block that holds a line other than three numbers, or a non-finite one."""
+    open as ``fh``: the (rows, 3) float table of each block, which starts at
+    a non-empty line, so np.loadtxt never meets input with no data.  A
+    regular file's lines stream through the parser, so no block's text is
+    held, and a block's last line is given as its first plus
+    _CSV_BLOCK_ROWS - 1.  Other input cannot be read again, so each block's
+    lines are held until it is parsed.  FormatError naming the first bad row
+    of the first block that holds a line other than three numbers, or a
+    non-finite one."""
     line = 1  # the file lines read so far
     while first := fh.readline():
         line += 1
         if first == "\n":
             continue
+        rest = itertools.islice(fh, _CSV_BLOCK_ROWS - 1)
+        lines = itertools.chain([first], rest) if regular else [first, *rest]
         try:
-            table = _parse_rows(
-                itertools.chain([first], itertools.islice(fh, _CSV_BLOCK_ROWS - 1)))
+            table = _parse_rows(lines)
             if not np.isfinite(table).all():
                 raise ValueError("non-finite number")
         except ValueError:
-            row, reason = _first_bad_row(path, line)
+            if regular:
+                with open(path) as again:
+                    rows = _data_rows(itertools.islice(again, line - 1, None), line)
+                    row, reason = _first_bad_row(rows)
+            else:
+                row, reason = _first_bad_row(_data_rows(lines, line))
             raise FormatError(f"{path}: row {row}: {reason}") from None
-        yield table
-        line += _CSV_BLOCK_ROWS - 1  # a block ends short only at the end of the file
+        start = line
+        # a regular file's block ends short only at the end of the file
+        line += (_CSV_BLOCK_ROWS if regular else len(lines)) - 1
+        yield start, line, table
 
 
 def _line_count(path: str | Path) -> int:
@@ -211,29 +248,25 @@ def _parse_rows(lines) -> np.ndarray:
     return table
 
 
-def _data_rows(fh, first: int = 2):
-    """(line number, text) of each non-empty line of the open text file
-    ``fh`` from its line ``first`` on (1-based; 2 follows the header),
-    streamed."""
-    lines = itertools.islice(fh, first - 1, None)
+def _data_rows(lines, first: int):
+    """(line number, text) of each non-empty one of the text ``lines``,
+    numbered from ``first``, streamed."""
     return ((num, line.rstrip("\n")) for num, line in enumerate(lines, start=first)
             if line != "\n")
 
 
-def _first_bad_row(path: str | Path, start: int) -> tuple[int, str]:
-    """Row number and reason of the first data row that is not three finite
-    numbers, in the block of _CSV_BLOCK_ROWS lines from file line ``start``,
-    known to hold one.  The lines before the block stream past, and the
-    block's rows are parsed one at a time up to the bad one, so each is
-    parsed once and only one is held."""
-    with open(path) as fh:
-        for num, line in itertools.islice(_data_rows(fh, start), _CSV_BLOCK_ROWS):
-            try:
-                finite = np.isfinite(_parse_rows([line])).all()
-            except ValueError:
-                return num, f"expected 3 numbers, got {line!r}"
-            if not finite:
-                return num, "non-finite number"
+def _first_bad_row(rows) -> tuple[int, str]:
+    """Row number and reason of the first of ``rows``, the (line number,
+    text) pairs of a block known to hold one, that is not three finite
+    numbers.  The rows are parsed one at a time up to the bad one, so each
+    is parsed once and only one is held."""
+    for num, line in itertools.islice(rows, _CSV_BLOCK_ROWS):
+        try:
+            finite = np.isfinite(_parse_rows([line])).all()
+        except ValueError:
+            return num, f"expected 3 numbers, got {line!r}"
+        if not finite:
+            return num, "non-finite number"
 
 
 def _check_finite(path: str | Path, data: np.ndarray) -> None:

@@ -360,7 +360,8 @@ def _apply_chirp(
                                  e^{i pi b p^2} e^{i pi b q^2} e^{-i pi b (p-q)^2}
 
     with b = step * h.  Every block has the same q, so all share one table of
-    b k^2, one pre-chirp and one chirp-kernel FFT; each block's convolution is
+    b k^2, one pre-chirp and one chirp-kernel FFT, whose phases and the end
+    nodes' are reduced in one pass; each block's convolution is
     one row of a batched FFT, and only its centre phase e^{2 pi i omega_k x_c}
     is its own.  Blocks run in groups whose FFT buffer holds at most
     _DENSE_BLOCK_WEIGHTS entries, or one block.  The per-row factors use the
@@ -374,26 +375,41 @@ def _apply_chirp(
     rows = cols.shape[0]
     theta = TWO_PI * omegas * h
     ends = cols[:, [0, -1]]
-    if ends.any():
-        phases = np.exp(1j * math.pi * _node_turns(grid.nodes([0, n]), omegas))
-        out = ends @ np.stack(_end_weights(h, theta, phases))
-    else:  # both end samples are zero in every column
-        out = np.zeros((rows, m), dtype=complex)
-
     lo, hi = _interior_support(cols)
+    # The phases the node blocks share take one _half_turns call over
+    # concatenated (rate, x) pairs and one exp: the end nodes' 2 omega x where
+    # an end sample is non-zero, and where the support holds a node, the table
+    # of -b k^2 for k up to max|lag| and the pre-chirp's centre phase.  Both
+    # index ranges hold 0, so no |q| or |p| passes max|lag|, and the one table
+    # serves all three chirps.
+    end_nodes = grid.nodes([0, n]) if ends.any() else np.empty(0)
+    if not end_nodes.size and hi <= lo:  # every sample is zero
+        return np.zeros(omegas.shape + values.shape[1:], dtype=complex)
+    rates, xs = [np.repeat(end_nodes, m)], [2.0 * omegas] * end_nodes.size
+    at = end_nodes.size * m  # where the -b k^2 table starts
+    table = 0
     if hi > lo:
         span = min(hi - lo, _node_block(m))
         q = np.arange(1, span + 1, dtype=np.int64) - (span + 1) // 2
         p = np.arange(m, dtype=np.int64) - m // 2
         lags = np.arange(p[0] - q[-1], p[-1] - q[0] + 1, dtype=np.int64)
         nfft = _fft_length(lags.size)
-        # Both index ranges hold 0, so no |q| or |p| passes max|lag|, and one
-        # table of b k^2 in half-turns serves all three chirps.
-        squares = _half_turns(step * h, np.arange(max(-lags[0], lags[-1]) + 1.0) ** 2)
+        table = max(-lags[0], lags[-1]) + 1
+        rates += [np.full(table, -step * h), np.full(span, 2.0 * omegas[m // 2] * h)]
+        xs += [np.arange(table, dtype=float) ** 2, q.astype(float)]
+    turns = _half_turns(np.concatenate(rates), np.concatenate(xs))
+    chirp = turns[at : at + table]
+    if hi > lo:  # the pre-chirp takes b q^2 from the table
+        turns[at + table :] -= chirp[np.abs(q)]
+    phases = np.exp(1j * math.pi * turns)
+    if at:
+        out = ends @ np.stack(_end_weights(h, theta, phases[:at].reshape(2, m).T))
+    else:  # both end samples are zero in every column
+        out = np.zeros((rows, m), dtype=complex)
 
-        pre = _half_turns(2.0 * omegas[m // 2] * h, q.astype(float)) + squares[np.abs(q)]
-        pre = np.exp(1j * math.pi * pre)
-        kernel = np.fft.fft(np.exp(-1j * math.pi * squares)[np.abs(lags)], nfft)
+    if hi > lo:
+        pre = phases[at + table :]
+        kernel = np.fft.fft(phases[at : at + table][np.abs(lags)], nfft)
         scale = h * _interior_factor(theta)
         # Each node block sums the nodes from its first one up to its span's
         # end.  The last span ends on node hi - 1, and the nodes it shares with
@@ -416,7 +432,7 @@ def _apply_chirp(
             conv = conv.reshape(count, rows, m)
             # the post-chirp with each block's centre phase, a row per block
             centres = grid.nodes(begins[batch] + ((span + 1) // 2 - 1))
-            post = _node_turns(centres, omegas).T + squares[np.abs(p)]
+            post = _node_turns(centres, omegas).T - chirp[np.abs(p)]
             conv *= (scale * np.exp(1j * math.pi * post))[:, None, :]
             for part in conv:
                 out += part
@@ -493,16 +509,28 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
     out[big] = np.exp(zs * b) * s_b - np.exp(zs * a) * s_a
 
     # |zr| <= max(1, alpha)/2, whose K-th power over K! is below 1e-20 for
-    # K = 24 + 2 alpha terms.
+    # K = 24 + 2 alpha terms.  zr = i s has a zero real part, and series j
+    # holds only the powers of j's parity, so Horner's complex steps in i s
+    # come to one real recurrence e <- c - s (s e) over every other power,
+    # with the same roundings: series j is e for even j and i s e for odd j.
     zs = z[~big]
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    k = np.arange(24 + 2 * alpha)
+    s = (zs * r).imag
     j = np.arange(alpha + 1)[:, None]
-    inv_factorials = np.array([1.0 / math.factorial(i) for i in k])
-    series = np.where((j + k) % 2 == 0, 2.0 * inv_factorials / (j + k + 1), 0.0)
-    scales = [math.comb(alpha, i) * c ** (alpha - i) * r ** (i + 1) for i in range(alpha + 1)]
-    total = np.zeros(zs.shape, dtype=complex)
-    for scale, poly in zip(scales, _polyval_rows(series[:, ::-1], zs * r)):
-        total += scale * poly
+    k = j % 2 + 2 * np.arange(12 + alpha)  # the powers series j holds
+    inv_factorials = np.array([1.0 / math.factorial(i) for i in range(24 + 2 * alpha)])
+    series = 2.0 * inv_factorials[k] / (j + k + 1)
+    scales = np.array([math.comb(alpha, i) * c ** (alpha - i) * r ** (i + 1)
+                       for i in range(alpha + 1)])
+    terms = np.zeros((alpha + 1, s.size))
+    for column in series.T[::-1]:
+        terms *= s
+        terms *= s
+        np.subtract(column[:, None], terms, out=terms)
+    terms[1::2] *= s
+    terms *= scales[:, None]
+    total = np.empty(s.size, dtype=complex)
+    total.real = terms[0::2].sum(axis=0)
+    total.imag = terms[1::2].sum(axis=0)
     out[~big] = np.exp(zs * c) * total
     return complex(out[0]) if np.ndim(omegas) == 0 else out

@@ -7,7 +7,9 @@ evaluation point, so the weight frequency parameter is the output abscissa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +113,21 @@ def _monomial_errors(
     if a > -1.0 or b < 1.0:
         raise ValueError(f"interval [{a}, {b}] must contain [-1, 1]")
     grid = UniformGrid(a, b, n)
-    # x^alpha on the closed interval [-1, 1], zero outside
-    xs = grid.nodes()
-    samples = np.where((xs >= -1.0) & (xs <= 1.0), xs**alpha, 0.0).astype(complex)
+    # x^alpha on the closed interval [-1, 1], zero outside, built on the nodes
+    # near it only.  A node a + h k lies within 2**-50 max(|a|, |b|) of its
+    # exact value and the nodes increase with k, so every node in [-1, 1]
+    # has an index within `slack` of the exact bounds'.
+    h = grid.h
+    slack = 2 + math.ceil(2.0**-48 * max(-a, b) / h)
+    lo = max(0, math.floor((-1.0 - a) / h) - slack)
+    hi = min(grid.n, math.ceil((1.0 - a) / h) + slack)
+    xs = grid.nodes(np.arange(lo, hi + 1))
+    inside = (xs >= -1.0) & (xs <= 1.0)
+    samples = np.zeros(grid.n + 1, dtype=complex)
+    samples[lo : hi + 1][inside] = xs[inside] ** alpha
     approx = apply_weights(grid, omegas, samples)
     errors = monomial_fourier_integral(alpha, omegas, -1.0, 1.0) - approx
-    return list(map(QuadratureErrorRecord, omegas.tolist(), errors.tolist()))
+    # tuple.__new__ is what QuadratureErrorRecord._make calls, without a
+    # Python-level __new__ per row
+    return list(map(tuple.__new__, repeat(QuadratureErrorRecord),
+                    zip(omegas.tolist(), errors.tolist())))

@@ -402,10 +402,11 @@ def test_container_is_written_from_its_array_and_read_with_one_copy(tmp_path, ki
     np.testing.assert_array_equal(loaded, data)
 
 
-def test_pipe_inputs_load_as_files_do(tmp_path):
-    # A FIFO can be read once: a CSV of one block and a container each load
-    # from a single pass, so `cat s.csv | oqf ft --input /dev/stdin` works.
-    # A reader that opened the path again would block, so an alarm ends it.
+def test_pipe_inputs_load_as_files_do(tmp_path, monkeypatch):
+    # A FIFO can be read once: a CSV and a container each load from a single
+    # pass, so `cat s.csv | oqf ft --input /dev/stdin` works, and a bad CSV
+    # row is named from the lines already read.  A reader that opened the
+    # path again would block, so an alarm ends it.
     import signal
     import threading
 
@@ -439,6 +440,30 @@ def test_pipe_inputs_load_as_files_do(tmp_path):
         with pytest.raises(oqfio.FormatError,
                            match=f"payload ends at offset {size - 8}, expected {size}"):
             fed(sino.read_bytes()[:-8], oqfio.read_sinogram)
+        # Blocks of 2 lines, the second block [4, 5] holding an empty line: a
+        # file is counted first, a pipe's blocks are joined.
+        monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 2)
+        lines = ["x,re,im", *(f"{0.5 * k},{k},{-k}" for k in range(9))]
+        lines.insert(4, "")
+        csv.write_text("\n".join(lines) + "\n")
+        xs, values = fed(csv.read_bytes(), oqfio.read_complex_csv)
+        expected = oqfio.read_complex_csv(csv)
+        assert xs.tobytes() == expected[0].tobytes()
+        assert values.tobytes() == expected[1].tobytes()
+        # A bad row is named from its block's lines, and in a pipe an abscissa
+        # off the lattice is named by its block's lines when the block holds
+        # an empty line.
+        for line, bad, piped, named in (
+            (10, "3.5,abc,0", "row 10: expected 3 numbers", None),
+            (10, "3.5,nan,0", "row 10: non-finite number", None),
+            (10, "3.6,1,0", "row 10: abscissa 3.6 off", None),
+            (4, "1.1,1,0", "a row in lines 4-5: abscissa 1.1 off", "row 4: abscissa 1.1 off"),
+        ):
+            csv.write_text("\n".join(lines[: line - 1] + [bad] + lines[line:]) + "\n")
+            with pytest.raises(oqfio.FormatError, match=piped):
+                fed(csv.read_bytes(), oqfio.read_complex_csv)
+            with pytest.raises(oqfio.FormatError, match=named or piped):
+                oqfio.read_complex_csv(csv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

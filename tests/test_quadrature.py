@@ -255,6 +255,35 @@ def test_monomial_integral_array_matches_elementwise_calls():
             _same_bits(batched, np.array([np.polyval(row, x) for row in coeffs]))
 
 
+def _horner_taylor(alpha, omegas, a, b):
+    # The Taylor branch as one Horner pass per series of 24 + 2 alpha terms,
+    # scaled and summed series by series: the reference for the power table.
+    z = 2j * math.pi * np.asarray(omegas, dtype=float)
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    total = np.zeros(z.shape, dtype=complex)
+    for j in range(alpha + 1):
+        series = [2.0 / (math.factorial(i) * (j + i + 1)) if (j + i) % 2 == 0 else 0.0
+                  for i in range(24 + 2 * alpha)]
+        scale = math.comb(alpha, j) * c ** (alpha - j) * r ** (j + 1)
+        total += scale * np.polyval(series[::-1], z * r)
+    return np.exp(z * c) * total
+
+
+def test_monomial_integral_taylor_branch_matches_horner():
+    # Over the branch's whole range |2 pi omega| (b - a) <= max(1, alpha), the
+    # evaluation stays within 2e-15 max(1, |I|) of the Horner passes.
+    for alpha in range(9):
+        for a, b in ((-1.0, 1.0), (-1.5, 2.0), (3.0, 3.5)):
+            limit = max(1.0, alpha) / (TWO_PI * (b - a))
+            omegas = np.concatenate([np.linspace(-limit, limit, 401), [1e-300, -1e-9]])
+            omegas = omegas[np.abs(2 * math.pi * omegas) * (b - a) <= max(1.0, alpha)]
+            assert omegas.size >= 400
+            values = monomial_fourier_integral(alpha, omegas, a, b)
+            reference = _horner_taylor(alpha, omegas, a, b)
+            assert np.all(np.abs(values - reference)
+                          <= 2e-15 * np.maximum(1.0, np.abs(reference))), (alpha, a, b)
+
+
 def test_monomial_conjugate_symmetry():
     for alpha in (0, 1, 3, 6):
         for om in (0.4, 2.9):
@@ -822,6 +851,29 @@ def test_apply_weights_one_node_block_keeps_its_bits(grid, omegas, columns):
     reference = _single_convolution(grid, omegas, values)
     assert result.shape == reference.shape
     assert result.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("ends", [True, False])
+def test_apply_chirp_reduces_its_shared_phases_in_one_pass(ends, monkeypatch):
+    # One batch of node blocks: the end nodes', chirp table's and pre-chirp's
+    # phases are one _half_turns call, the post-chirp one more.  Without
+    # non-zero end samples (the error tables' case) the end nodes take none.
+    calls = []
+    half_turns = quadrature._half_turns
+
+    def counting(rate, x):
+        calls.append(np.broadcast(rate, x).shape)
+        return half_turns(rate, x)
+
+    grid = UniformGrid(-10.0, 10.0, 2000)
+    xs = grid.nodes()
+    values = np.cos(xs) if ends else np.where(np.abs(xs) <= 1.0, xs * xs, 0.0)
+    omegas = np.linspace(-10.0, 10.0, 201)
+    expected = apply_weights(grid, omegas, values)
+    monkeypatch.setattr(quadrature, "_half_turns", counting)
+    result = apply_weights(grid, omegas, values)
+    assert result.tobytes() == expected.tobytes()
+    assert len(calls) == 2
 
 
 def test_inverse_transform_peak_memory_is_bounded_along_the_sample_grid():

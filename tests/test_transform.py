@@ -147,6 +147,27 @@ def test_error_record_is_omega_and_error():
     assert (rec.omega, rec.error) == (0.5, complex(-3.0, 0.25))
     assert (rec.abs_real_error, rec.abs_imag_error) == (3.0, 0.25)
     assert not hasattr(transform, "truncated_monomial_samples")
+    records = error_sweep(2, (-1.0, 1.0), 10, -1.0, 1.0, 3)
+    assert all(type(r) is transform.QuadratureErrorRecord for r in records)
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (-1.0, 1.0, 20), (-10.0, 10.0, 2000), (-100.0, 100.0, 20000), (-3.0, 3.0, 30),
+    (-1.3, 2.7, 37), (-1.0, 1.0, 1), (-7.0, 1.0, 3), (-3e15, 3e15, 3000),
+    (-1e300, 1.0, 9), (-1.0, 1e300, 10),
+])
+def test_error_sweep_samples_every_node_in_the_unit_interval(a, b, n):
+    # Samples are built on the nodes near [-1, 1] only; they equal x^alpha
+    # tested on every node of the grid, rounding of the nodes included.
+    xs = UniformGrid(a, b, n).nodes()
+    for alpha in (0, 1, 2):
+        with np.errstate(over="ignore"):
+            expected = np.where((xs >= -1.0) & (xs <= 1.0), xs**alpha, 0.0).astype(complex)
+        with mock.patch.object(transform, "apply_weights",
+                               wraps=transform.apply_weights) as applied:
+            error_sweep(alpha, (a, b), n, -1e-160, 1e-160, 3)
+        samples = applied.call_args.args[2]
+        assert samples.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
