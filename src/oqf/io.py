@@ -70,44 +70,53 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode())
 
 
-def _write_csv(path: str | Path, header: str, row_format: str, columns) -> None:
-    """CSV of equal-length 1-d float columns, one ``row_format`` per row.
+def _write_csv(path: str | Path, header: str, columns, row_format: str | None = None) -> None:
+    """CSV of equal-length 1-d float columns, _CSV_BLOCK_ROWS rows at a time.
 
-    Rows are formatted _CSV_BLOCK_ROWS at a time, from Python floats, so a
-    float field formats exactly as in an f-string and no more than one
-    block's text is held at once.  A non-finite value is a ValueError
-    naming its column and row, before ``path`` is touched.
+    Each row is the bytes of ``"%r,%r,%r\\n" % row`` (see oqf._float_repr),
+    or, given a ``row_format``, of that format over the row's Python floats.
+    No more than one block's text is held at once.  A non-finite value is a
+    ValueError naming its column and row, before ``path`` is touched.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({len(c) for c in columns}) != 1:
+        raise ValueError(f"{path}: columns of lengths {[len(c) for c in columns]}, not written")
     for name, column in zip(header.split(","), columns):
         _check_finite(f"{path}: {name}", column)
+    if row_format is None:
+        # imported here, so that its tables are built at the first write
+        # and not by ``import oqf.io``
+        from ._float_repr import repr_rows
     with _atomic_file(path) as fh:
         fh.write(f"{header}\n".encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-            text = row_format * len(block) % tuple(block.ravel().tolist())
-            fh.write(text.encode())
+            block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
+            if row_format is None:
+                fh.write(repr_rows(block))
+            else:
+                values = np.column_stack(block).ravel().tolist()
+                fh.write((row_format * len(block[0]) % tuple(values)).encode())
 
 
 def write_coefficients_csv(path: str | Path, values: np.ndarray) -> None:
     """CSV with header beta,re,im at 17 significant digits."""
     values = np.asarray(values, dtype=complex)
-    _write_csv(path, "beta,re,im", "%d,%.17g,%.17g\n",
-               (np.arange(values.size), values.real, values.imag))
+    _write_csv(path, "beta,re,im", (np.arange(values.size), values.real, values.imag),
+               "%d,%.17g,%.17g\n")
 
 
 def write_complex_csv(path: str | Path, abscissa_name: str, xs, values) -> None:
     """CSV with header <abscissa>,re,im using shortest round-trip floats."""
     values = np.asarray(values, dtype=complex)
-    _write_csv(path, f"{abscissa_name},re,im", "%r,%r,%r\n", (xs, values.real, values.imag))
+    _write_csv(path, f"{abscissa_name},re,im", (xs, values.real, values.imag))
 
 
 def write_sweep_csv(path: str | Path, records) -> None:
-    """CSV with header omega,abs_re_err,abs_im_err, one row per error record."""
-    table = np.array(
-        [(rec.omega, rec.abs_real_error, rec.abs_imag_error) for rec in records], dtype=float
-    ).reshape(-1, 3)
-    _write_csv(path, "omega,abs_re_err,abs_im_err", "%r,%r,%r\n", table.T)
+    """CSV with header omega,abs_re_err,abs_im_err, one row per (omega, error)
+    record, such as transform.QuadratureErrorRecord."""
+    table = np.array(list(records), dtype=complex).reshape(-1, 2)
+    _write_csv(path, "omega,abs_re_err,abs_im_err",
+               (table[:, 0].real, np.abs(table[:, 1].real), np.abs(table[:, 1].imag)))
 
 
 def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,8 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +252,95 @@ def test_csv_writers_match_per_row_formatting_across_blocks(tmp_path, monkeypatc
         lambda r: f"{float(r.omega)!r},{float(r.abs_real_error)!r},{float(r.abs_imag_error)!r}",
         records)
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _repr_text(columns):
+    # The rows as "%r,...,%r\n" formats them, one Python float at a time.
+    rows = np.column_stack(columns)
+    row = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return (row * len(rows) % tuple(rows.ravel().tolist())).encode()
+
+
+def _exact_ties(count, rng):
+    # m + 1/4 and m + 3/4 for m in [2^49, 2^51): the two shortest decimals,
+    # m.2 and m.3 (or m.7 and m.8), are equally near, and repr takes the
+    # even one.
+    m = rng.integers(2**49, 2**51, size=count).astype(float)
+    return np.concatenate([m + 0.25, m + 0.75])
+
+
+def test_csv_floats_are_repr_bytes():
+    from oqf._float_repr import repr_rows
+
+    rng = np.random.default_rng(2024)
+    random = rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(float)
+    random = random[np.isfinite(random)]
+    two = 2.0 ** np.arange(-1074, 1024)
+    near = [np.nextafter(v, to) for v in (1e-4, 1e-5, 1e16, 1e17) for to in (0.0, math.inf)]
+    special = [5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+               0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, *near]
+    integers = 2.0**53 + np.arange(-50, 51)
+    ties = _exact_ties(500, rng)
+    # each of these lies exactly halfway between its two shortest decimals
+    for tie in ties[:5]:
+        digits = repr(float(tie))
+        assert digits[-1] in "28" and abs(Fraction(tie) - Fraction(digits)) == Fraction(1, 20)
+    values = np.concatenate([random, two, -two, special, integers, -integers, ties, -ties])
+    values = values[: len(values) // 3 * 3]
+    columns = list(values.reshape(3, -1))
+    assert repr_rows(columns).tobytes() == _repr_text(columns)
+    # one column, and columns that are strided views
+    assert repr_rows(columns[:1]).tobytes() == _repr_text(columns[:1])
+    complex_view = values[: len(values) // 2 * 2].view(complex)
+    pair = [complex_view.real, complex_view.imag]
+    assert repr_rows(pair).tobytes() == _repr_text(pair)
+
+
+def test_csv_floats_of_big_endian_input_are_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-3.0, 3.0, 101)
+    scale = 10.0 ** rng.integers(-30, 30, size=101)
+    values = rng.normal(size=101) * scale + 1j * rng.normal(size=101)
+    native, swapped = tmp_path / "native.csv", tmp_path / "swapped.csv"
+    oqfio.write_complex_csv(native, "x", xs, values)
+    oqfio.write_complex_csv(swapped, "x", xs.astype(">f8"), values.astype(">c16"))
+    assert swapped.read_bytes() == native.read_bytes()
+    records = [transform.QuadratureErrorRecord(x, v) for x, v in zip(xs.astype(">f8"), values)]
+    oqfio.write_sweep_csv(swapped, records)
+    assert swapped.read_bytes().split(b"\n", 1)[1] == _repr_text(
+        [xs, np.abs(values.real), np.abs(values.imag)])
+
+
+def test_import_of_io_builds_no_float_tables():
+    # The formatter's tables (and its module) are built at the first write.
+    code = ("import sys, numpy as np, oqf.io as io, tempfile, os; "
+            "assert 'oqf._float_repr' not in sys.modules; "
+            "path = os.path.join(tempfile.mkdtemp(), 'out.csv'); "
+            "io.write_coefficients_csv(path, np.ones(2)); "
+            "assert 'oqf._float_repr' not in sys.modules; "
+            "io.write_complex_csv(path, 'x', np.arange(2.0), np.ones(2)); "
+            "assert 'oqf._float_repr' in sys.modules")
+    src = str(Path(oqfio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_complex_csv_write_peak_memory_is_bounded(tmp_path):
+    # 2*10^5 rows: the traced peak is 3.46 MB with the formatter's first
+    # import and tables, 3.33 MB without, where the % formatting over
+    # .tolist() floats it replaced peaked at 4.19 MB (4189777 bytes).
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    xs = np.linspace(-50.0, 50.0, 2 * 10**5)
+    values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
+    tracemalloc.start()
+    try:
+        oqfio.write_complex_csv(tmp_path / "big.csv", "x", xs, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4189777
 
 
 def test_csv_write_failure_leaves_no_file(tmp_path):
@@ -527,7 +616,7 @@ def test_writers_refuse_non_finite_data_before_creating_a_file(tmp_path, writer,
             oqfio.write_coefficients_csv(path, values)
         elif writer == "sweep_csv":
             oqfio.write_sweep_csv(path, [
-                SimpleNamespace(omega=w, abs_real_error=r, abs_imag_error=i) for w, r, i in data
+                transform.QuadratureErrorRecord(w, complex(r, i)) for w, r, i in data
             ])
         else:
             getattr(oqfio, f"write_{writer}")(path, ImageGrid(2, 3, data))
