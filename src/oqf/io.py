@@ -14,14 +14,12 @@ All writers go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import bisect
+import array
 import contextlib
 import itertools
 import os
-import stat
 import struct
 import tempfile
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +39,7 @@ _HEADER_OFFSETS = {
 # read_complex_csv accepts an abscissa within this fraction of
 # max(step, max|x|) of the uniform lattice through the first and last rows.
 UNIFORM_RTOL = 1e-9
-# CSV writers format this many rows per block.
+# CSV writers format, and read_complex_csv parses, this many rows per block.
 _CSV_BLOCK_ROWS = 1 << 14
 
 
@@ -124,40 +122,43 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (abscissae, complex values).  Raises FormatError naming the
     file line of the first offending row on non-uniform spacing, non-finite
-    numbers or malformed content.  Rows are parsed by np.loadtxt a block of
-    _CSV_BLOCK_ROWS lines at a time.  A regular file of more than one block
-    has the result's arrays sized by its line count and filled block by
-    block, so beside the result at most three blocks' tables are held; any
-    other input (a pipe, /dev/stdin) can be read only once, so its blocks'
-    tables are held and joined once.  Empty lines are skipped but counted in
-    row numbers, and a number may be quoted.
+    numbers or malformed content.  The input, a file or a pipe alike, is
+    read once, a block of _CSV_BLOCK_ROWS lines at a time: each block's
+    lines are held while np.loadtxt parses them, a bad row is named from
+    them, and the block's rows are appended to the result's arrays, which
+    grow in place.  Empty lines are skipped but counted in row numbers, and
+    a number may be quoted.
     """
+    xs = np.empty(0)
+    values = np.empty(0, dtype=complex)
+    blank = array.array("q")  # the file line of each empty line, ascending
+    rows = 0
     with open(path) as fh:  # universal newlines: CRLF and CR end rows too
         if len(fh.readline().rstrip("\n").split(",")) != 3:
             raise FormatError(f"{path}: missing or malformed header")
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        blocks = _parse_blocks(path, fh, regular)
-        head = list(itertools.islice(blocks, 2) if regular else blocks)
-        # every line but the header, an upper bound on the data rows; a file
-        # of one block is not counted, so it is read in one pass
-        size = (_line_count(path) - 1 if regular and len(head) == 2
-                else sum(len(table) for *_, table in head))
-        xs = np.empty(size)
-        values = np.empty(size, dtype=complex)
-        pairs = values.view(float).reshape(-1, 2)
-        spans = []  # (rows before, rows, first line, last line) of each block
-        rows = 0
-        for first, last, table in itertools.chain(head, blocks):
-            block = slice(rows, rows + len(table))
-            xs[block], pairs[block] = table[:, 0], table[:, 1:]
-            spans.append((rows, len(table), first, last))
-            rows += len(table)
+        first = 2  # the file line of the block's first line
+        while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            if empty := lines.count("\n"):
+                blank.extend(first + i for i, line in enumerate(lines) if line == "\n")
+            if empty < len(lines):  # loadtxt would warn on a block of no data
+                try:
+                    table = _parse_rows(lines)
+                    if not np.isfinite(table).all():
+                        raise ValueError("non-finite number")
+                except ValueError:
+                    row, reason = _first_bad_row(_data_rows(lines, first))
+                    raise FormatError(f"{path}: row {row}: {reason}") from None
+                # the arrays own their buffers and no view of them is held,
+                # so they grow in place
+                xs.resize(rows + len(table), refcheck=False)
+                values.resize(rows + len(table), refcheck=False)
+                xs[rows:] = table[:, 0]
+                values.real[rows:] = table[:, 1]
+                values.imag[rows:] = table[:, 2]
+                rows += len(table)
+            first += len(lines)
     if rows < 2:
         raise FormatError(f"{path}: need at least 2 data rows, got {rows}")
-    del pairs
-    if rows < size:  # empty lines: shrink in place, without a copy
-        xs.resize(rows, refcheck=False)
-        values.resize(rows, refcheck=False)
     step = (xs[-1] - xs[0]) / (rows - 1)
     if step <= 0:
         raise FormatError(f"{path}: abscissae must be increasing")
@@ -172,80 +173,13 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
         if bad.size:
             index = start + bad[0]
-            row = _row_line(path, regular, spans, index)
+            row = 2 + index  # its file line, once the empty lines before it count
+            for line in blank:
+                row += line <= row
             raise FormatError(
-                f"{path}: {row}: abscissa {float(xs[index])!r} off the uniform lattice"
+                f"{path}: row {row}: abscissa {float(xs[index])!r} off the uniform lattice"
             )
     return xs, values
-
-
-def _row_line(path: str | Path, regular: bool, blocks: list, index: int) -> str:
-    """The text 'row N', N the file line of data row ``index``, found from
-    its block, given as (rows before it, its rows, its first and last file
-    lines).  A regular file streams the block's lines again.  Other input is
-    never opened again, which would block on a FIFO: its row is named when
-    its block holds no empty line, so that each line is a row, and
-    otherwise the block's lines are named."""
-    before, count, first, last = blocks[bisect.bisect_right(blocks, index, key=itemgetter(0)) - 1]
-    if regular:
-        with open(path) as fh:
-            lines = itertools.islice(fh, first - 1, None)
-            row, _ = next(itertools.islice(_data_rows(lines, first), index - before, None))
-        return f"row {row}"
-    if count == last - first + 1:
-        return f"row {first + index - before}"
-    return f"a row in lines {first}-{last}"
-
-
-def _parse_blocks(path: str | Path, fh, regular: bool):
-    """(first line, last line, table) of successive blocks of at most
-    _CSV_BLOCK_ROWS lines of the text file ``path`` after its header line,
-    open as ``fh``: the (rows, 3) float table of each block, which starts at
-    a non-empty line, so np.loadtxt never meets input with no data.  A
-    regular file's lines stream through the parser, so no block's text is
-    held, and a block's last line is given as its first plus
-    _CSV_BLOCK_ROWS - 1.  Other input cannot be read again, so each block's
-    lines are held until it is parsed.  FormatError naming the first bad row
-    of the first block that holds a line other than three numbers, or a
-    non-finite one."""
-    line = 1  # the file lines read so far
-    while first := fh.readline():
-        line += 1
-        if first == "\n":
-            continue
-        rest = itertools.islice(fh, _CSV_BLOCK_ROWS - 1)
-        lines = itertools.chain([first], rest) if regular else [first, *rest]
-        try:
-            table = _parse_rows(lines)
-            if not np.isfinite(table).all():
-                raise ValueError("non-finite number")
-        except ValueError:
-            if regular:
-                with open(path) as again:
-                    rows = _data_rows(itertools.islice(again, line - 1, None), line)
-                    row, reason = _first_bad_row(rows)
-            else:
-                row, reason = _first_bad_row(_data_rows(lines, line))
-            raise FormatError(f"{path}: row {row}: {reason}") from None
-        start = line
-        # a regular file's block ends short only at the end of the file
-        line += (_CSV_BLOCK_ROWS if regular else len(lines)) - 1
-        yield start, line, table
-
-
-def _line_count(path: str | Path) -> int:
-    """The file's lines, as universal newlines split them (LF, CRLF and CR
-    each end one), counted over binary blocks."""
-    count, last = 0, b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            codes = np.frombuffer(chunk, dtype=np.uint8)
-            count += np.count_nonzero(codes == ord("\n"))
-            if b"\r" in chunk:
-                count += np.count_nonzero(codes == ord("\r")) - chunk.count(b"\r\n")
-            count -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across blocks
-            last = chunk[-1:]
-    return count + (last not in (b"", b"\n", b"\r"))  # an unterminated last line
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -268,8 +202,8 @@ def _first_bad_row(rows) -> tuple[int, str]:
     """Row number and reason of the first of ``rows``, the (line number,
     text) pairs of a block known to hold one, that is not three finite
     numbers.  The rows are parsed one at a time up to the bad one, so each
-    is parsed once and only one is held."""
-    for num, line in itertools.islice(rows, _CSV_BLOCK_ROWS):
+    is parsed once more at most."""
+    for num, line in rows:
         try:
             finite = np.isfinite(_parse_rows([line])).all()
         except ValueError:

@@ -163,9 +163,9 @@ def test_complex_csv_names_bad_row_in_a_later_block(tmp_path, monkeypatch, bad, 
 
 
 def test_complex_csv_read_peak_memory_is_bounded(tmp_path):
-    # 10^6 rows are parsed a block at a time into the result's arrays, so the
-    # traced peak stays within 1.25x the outputs' bytes; one table of the
-    # whole file, copied out, took 2.0x.
+    # 10^6 rows are parsed a block at a time and appended to the result's
+    # arrays, so the traced peak stays within 1.25x the outputs' bytes; one
+    # table of the whole file, copied out, took 2.0x.
     import tracemalloc
 
     path = tmp_path / "big.csv"
@@ -183,11 +183,33 @@ def test_complex_csv_read_peak_memory_is_bounded(tmp_path):
     np.testing.assert_array_equal(read[1], values)
 
 
+def test_complex_csv_empty_lines_cost_little_memory(tmp_path, monkeypatch):
+    # Rows ended by "\r\r\n" are each followed by an empty line.  The read
+    # keeps those lines' numbers, 8 bytes each, to name an off-lattice row,
+    # so the traced peak, 1.40x the result's bytes, stays within 1.6x;
+    # sizing the result by the line count took 2.05x, a list of ints 2.73x.
+    import tracemalloc
+
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 1 << 12)
+    path = tmp_path / "spaced.csv"
+    k = np.arange(2 * 10**5)
+    oqfio.write_complex_csv(path, "x", 0.25 * k, (k % 7 - 3.0) + 0.5j * (k % 5))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\r\n"))
+    tracemalloc.start()
+    try:
+        xs, values = oqfio.read_complex_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (xs.nbytes + values.nbytes)
+    np.testing.assert_array_equal(xs, 0.25 * k)
+
+
 def test_complex_csv_names_a_late_bad_row_from_its_block(tmp_path, monkeypatch):
-    # Naming a bad row re-reads only its block of lines, after a streamed
-    # count of the lines before it, and an off-lattice row's line is streamed
-    # too, so a late bad row costs a few blocks beyond the read that found it.
-    # Reading the whole file's lines to name it took 7x the arrays' bytes more.
+    # A bad row is named from the lines of its block, which the read holds,
+    # and an off-lattice row from the empty lines' numbers, so a late bad row
+    # costs a few blocks beyond the read that found it.  Reading the whole
+    # file's lines to name it took 7x the arrays' bytes more.
     import tracemalloc
 
     monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 256)
@@ -220,6 +242,33 @@ def test_complex_csv_names_a_late_bad_row_from_its_block(tmp_path, monkeypatch):
         peak, message = traced_read(text)
         assert re.search(f"row {index + 2}: {reason}", message), message
         assert peak - good <= 4 * 256 * 128, reason
+
+
+def test_complex_csv_opens_its_path_once(tmp_path, monkeypatch):
+    # Every input is read once: naming a bad row in a later block, or an
+    # off-lattice row after an empty line, opens nothing again.
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(oqfio, "open", counted_open, raising=False)
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 3)
+    rows = [f"{k},1,0" for k in range(10)]
+    for body, message in ((rows, None),
+                          (rows[:7] + ["7,abc,0"] + rows[8:], "row 9: expected 3 numbers"),
+                          (rows[:2] + [""] + rows[2:7] + ["7.5,1,0"] + rows[8:],
+                           "row 10: abscissa 7.5 off")):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(["x,re,im", *body]) + "\n")
+        opened.clear()
+        if message is None:
+            np.testing.assert_array_equal(oqfio.read_complex_csv(path)[0], np.arange(10.0))
+        else:
+            with pytest.raises(oqfio.FormatError, match=message):
+                oqfio.read_complex_csv(path)
+        assert opened == [path]
 
 
 def _per_row_csv(header, row, *columns):
@@ -529,8 +578,8 @@ def test_pipe_inputs_load_as_files_do(tmp_path, monkeypatch):
         with pytest.raises(oqfio.FormatError,
                            match=f"payload ends at offset {size - 8}, expected {size}"):
             fed(sino.read_bytes()[:-8], oqfio.read_sinogram)
-        # Blocks of 2 lines, the second block [4, 5] holding an empty line: a
-        # file is counted first, a pipe's blocks are joined.
+        # Blocks of 2 lines, the second block [4, 5] holding an empty line:
+        # a file and a pipe are both read once, a block's lines at a time.
         monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 2)
         lines = ["x,re,im", *(f"{0.5 * k},{k},{-k}" for k in range(9))]
         lines.insert(4, "")
@@ -539,23 +588,58 @@ def test_pipe_inputs_load_as_files_do(tmp_path, monkeypatch):
         expected = oqfio.read_complex_csv(csv)
         assert xs.tobytes() == expected[0].tobytes()
         assert values.tobytes() == expected[1].tobytes()
-        # A bad row is named from its block's lines, and in a pipe an abscissa
-        # off the lattice is named by its block's lines when the block holds
-        # an empty line.
-        for line, bad, piped, named in (
-            (10, "3.5,abc,0", "row 10: expected 3 numbers", None),
-            (10, "3.5,nan,0", "row 10: non-finite number", None),
-            (10, "3.6,1,0", "row 10: abscissa 3.6 off", None),
-            (4, "1.1,1,0", "a row in lines 4-5: abscissa 1.1 off", "row 4: abscissa 1.1 off"),
+        # A bad row is named from its block's lines, and an abscissa off the
+        # lattice by its line, empty lines before it counted.
+        for line, bad, named in (
+            (10, "3.5,abc,0", "row 10: expected 3 numbers"),
+            (10, "3.5,nan,0", "row 10: non-finite number"),
+            (10, "3.6,1,0", "row 10: abscissa 3.6 off"),
+            (4, "1.1,1,0", "row 4: abscissa 1.1 off"),
         ):
             csv.write_text("\n".join(lines[: line - 1] + [bad] + lines[line:]) + "\n")
-            with pytest.raises(oqfio.FormatError, match=piped):
+            with pytest.raises(oqfio.FormatError, match=named):
                 fed(csv.read_bytes(), oqfio.read_complex_csv)
-            with pytest.raises(oqfio.FormatError, match=named or piped):
+            with pytest.raises(oqfio.FormatError, match=named):
                 oqfio.read_complex_csv(csv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_pipe_read_peak_memory_is_bounded_as_a_files_is(tmp_path, monkeypatch):
+    # A pipe's rows are appended to the result's arrays a block at a time,
+    # as a file's are, so its traced peak stays within 1.25x the result's
+    # bytes; holding its block tables and joining them took 2.02x.
+    import signal
+    import threading
+    import tracemalloc
+
+    monkeypatch.setattr(oqfio, "_CSV_BLOCK_ROWS", 1 << 12)
+    fifo, csv = tmp_path / "pipe", tmp_path / "big.csv"
+    os.mkfifo(fifo)
+    k = np.arange(2 * 10**5)
+    oqfio.write_complex_csv(csv, "x", 0.25 * k, (k % 7 - 3.0) + 0.5j * (k % 5))
+    payload = csv.read_bytes()
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the reader opened the pipe again")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    tracemalloc.start()
+    try:
+        writer.start()
+        xs, values = oqfio.read_complex_csv(fifo)
+        peak = tracemalloc.get_traced_memory()[1]
+        writer.join()
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak <= 1.25 * (xs.nbytes + values.nbytes)
+    np.testing.assert_array_equal(xs, 0.25 * k)
+    np.testing.assert_array_equal(values, (k % 7 - 3.0) + 0.5j * (k % 5))
 
 
 def test_pgm16_header_and_sidecar(tmp_path):
