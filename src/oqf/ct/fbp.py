@@ -112,6 +112,9 @@ def filter_projections(sino: Sinogram) -> FilteredSinogram:
 
     K is applied to all angles as one real FFT convolution with T, of length
     N = _fft_length(2n - 1), plus a rank-2 product with the end samples.
+    Its symbol is |omega| sinc^2(pi omega dt): the sinc^2 of the linear-spline
+    weights damps the upper band, so white noise keeps 0.39185 of the power
+    Ram-Lak's plain |omega| passes.
 
     Raises ValueError for samples that are not finite or exceed
     2**1020 / (max(1, s) N**4), so no FFT intermediate or output can

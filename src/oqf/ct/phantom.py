@@ -92,6 +92,8 @@ def run_strips(parts: list, work) -> None:
     mask, e.g. ``taskset -c 0`` for one), and never more than parts.  Group 0
     runs on the calling thread and the rest on threads joined before this
     returns; the first exception raised in any group is re-raised here.
+    numpy releases the GIL inside each array pass, so the groups run in
+    parallel.
     Callers keep every output element's operations and their order the same
     whatever the grouping, so results do not depend on the CPU count.
     """

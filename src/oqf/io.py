@@ -50,13 +50,23 @@ class FormatError(ValueError):
 
 @contextlib.contextmanager
 def _atomic_file(path: str | Path):
-    """A binary file handle whose content replaces ``path`` only on success."""
+    """A binary file handle whose content replaces ``path`` only on success.
+
+    An OSError from creating the temp file or renaming it into place names
+    ``path`` and the OS's reason, never the temp file's random name.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

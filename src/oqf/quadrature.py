@@ -364,7 +364,10 @@ def _apply_chirp(
     nodes' are reduced in one pass; each block's convolution is
     one row of a batched FFT, and only its centre phase e^{2 pi i omega_k x_c}
     is its own.  Blocks run in groups whose FFT buffer holds at most
-    _DENSE_BLOCK_WEIGHTS entries, or one block.  The per-row factors use the
+    _DENSE_BLOCK_WEIGHTS entries, or one block, and each group's post-chirp
+    phases are reduced in a pass of their own: one pass over every group's
+    would hold about ten temporaries of about s/4 entries, past the memory
+    bound of a long inverse transform.  The per-row factors use the
     actual omega_k; the convolution runs on the line omega_c + p * step.
     ``omegas`` is a block of a lattice within _UNIFORM_ULPS ulps of its own
     line with this step, so the block may miss its line by twice that, and an

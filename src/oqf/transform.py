@@ -45,7 +45,11 @@ class SpectrumSamples:
 
 
 class QuadratureErrorRecord(NamedTuple):
-    """Quadrature error for a truncated monomial at one frequency."""
+    """Quadrature error for a truncated monomial at one frequency.
+
+    A row holds only what it measures: alpha, the interval and n are the
+    arguments of the call that made it.
+    """
 
     omega: float
     error: complex

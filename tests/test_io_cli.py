@@ -1348,3 +1348,15 @@ def test_scripts_write_their_outputs(script, outputs, tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*.csv"))) == outputs
     assert done.stdout.count("\n") == outputs
+
+
+@pytest.mark.parametrize("flag", ["--out", "--pgm"])
+def test_cli_output_in_missing_directory_names_the_output(tmp_path, capsys, flag):
+    # The temp file that an atomic write creates beside the output has a
+    # random name; a failed write must name the output the user gave.
+    out = tmp_path / "no" / "such" / "dir" / "phantom.out"
+    assert main(["phantom", "--size", "16", flag, str(out)]) == 4
+    err = capsys.readouterr().err
+    assert str(out) in err and "No such file or directory" in err
+    assert ".tmp" not in err
+    assert not out.parent.exists()
