@@ -275,7 +275,8 @@ def _flag(key: str) -> str:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Resolve the subcommand's parameters, dump them if asked, check, run."""
+    """Resolve the subcommand's parameters, dump them if asked, check, run;
+    its outputs replace their paths only if the run succeeds."""
     handler, _, required, parameters = COMMANDS[args.command]
     params = _resolve(args, parameters)
     if args.dump_config:
@@ -283,7 +284,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if any(all(params[key] is None for key in group) for group in required):
         needed = " and ".join(" and/or ".join(map(_flag, group)) for group in required)
         raise ValueError(f"{args.command} requires {needed}")
-    return handler(params)
+    with oqfio.atomic_outputs():  # a failed run replaces none of its outputs
+        return handler(params)
 
 
 def build_parser() -> argparse.ArgumentParser:

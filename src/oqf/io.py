@@ -9,17 +9,19 @@ Binary layouts (little-endian):
             f64 extent_min_x, extent_min_y, extent_max_x, extent_max_y,
             then row-major f64 pixels.
 
-All writers go through a temp file and an atomic rename.
+All writers go through a temp file and an atomic rename; inside
+atomic_outputs() the renames wait until every output is written.
 """
 
 from __future__ import annotations
 
 import array
 import contextlib
+import contextvars
+import errno
 import itertools
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,29 +50,71 @@ class FormatError(ValueError):
     container and the line in a CSV table."""
 
 
+# The (temp file, output) pairs of the open atomic_outputs() block; each
+# thread has its own.
+_staged: contextvars.ContextVar[list | None] = contextvars.ContextVar("_staged", default=None)
+
+
+def _path_error(exc: OSError, path: Path) -> OSError:
+    """``exc``'s errno and reason, naming ``path``, not a temp file."""
+    return OSError(exc.errno, exc.strerror, str(path))
+
+
+@contextlib.contextmanager
+def atomic_outputs():
+    """Every output written inside the block replaces its path only when the
+    block ends without error, every output is written and no output path is
+    a directory; otherwise the temp files are removed and no path changes.
+    The renames then run in the order of the writes.  Nested blocks join the
+    outermost one.
+    """
+    if _staged.get() is not None:
+        yield
+        return
+    staged = []
+    token = _staged.set(staged)
+    try:
+        yield
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        while staged:
+            tmp, path = staged[0]
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise _path_error(exc, path) from None
+            staged.pop(0)
+    finally:
+        _staged.reset(token)
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str | Path):
-    """A binary file handle whose content replaces ``path`` only on success.
+    """A binary file handle on a new temp file beside ``path``, which
+    replaces ``path`` as atomic_outputs() says.
 
-    An OSError from creating the temp file or renaming it into place names
-    ``path`` and the OS's reason, never the temp file's random name.
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    creates a file.  An OSError from creating it names ``path`` and the
+    OS's reason, never the temp file's random name.
     """
     path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
+    with atomic_outputs():
+        while True:
+            tmp = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
+            except OSError as exc:
+                raise _path_error(exc, path) from None
+        _staged.get().append((tmp, path))
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -285,7 +329,8 @@ def read_image(path: str | Path) -> ImageGrid:
 
 
 def write_pgm16(path: str | Path, image: ImageGrid) -> None:
-    """16-bit binary PGM with linear min-max scaling; sidecar records the scale."""
+    """16-bit binary PGM with linear min-max scaling; a ``.scale`` sidecar
+    records the scale.  Both files are replaced, or neither."""
     _check_finite(path, image.pixels)
     lo = float(image.pixels.min())
     hi = float(image.pixels.max())
@@ -296,7 +341,8 @@ def write_pgm16(path: str | Path, image: ImageGrid) -> None:
         scaled = (image.pixels - lo) / span * 65535.0
     else:  # the span overflows; half of it does not
         scaled = (image.pixels / 2 - lo / 2) / (hi / 2 - lo / 2) * 65535.0
-    with _atomic_file(path) as fh:
-        fh.write(f"P5\n{image.cols} {image.rows}\n65535\n".encode())
-        fh.write(np.round(scaled).astype(">u2"))
-    atomic_write_text(Path(str(path) + ".scale"), f"min={lo!r}\nmax={hi!r}\n")
+    with atomic_outputs():
+        with _atomic_file(path) as fh:
+            fh.write(f"P5\n{image.cols} {image.rows}\n65535\n".encode())
+            fh.write(np.round(scaled).astype(">u2"))
+        atomic_write_text(Path(str(path) + ".scale"), f"min={lo!r}\nmax={hi!r}\n")

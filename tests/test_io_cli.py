@@ -235,9 +235,11 @@ def test_complex_csv_names_a_late_bad_row_from_its_block(tmp_path, monkeypatch):
     good, message = traced_read("\n".join(lines) + "\n")
     assert message is None
     last = xs[-1]
+    edge = 255 + 256 * 194  # the last line of a block, file line 49921
     for index, bad, reason in ((rows - 1, f"{last},abc,0", "expected 3 numbers"),
                                (rows - 1, f"{last},nan,0", "non-finite number"),
-                               (rows - 2, f"{last - 0.2},1,0", "abscissa .* off the uniform")):
+                               (rows - 2, f"{last - 0.2},1,0", "abscissa .* off the uniform"),
+                               (edge, f"{xs[edge]},abc,0", "expected 3 numbers")):
         text = "\n".join(lines[: index + 1] + [bad] + lines[index + 2 :]) + "\n"
         peak, message = traced_read(text)
         assert re.search(f"row {index + 2}: {reason}", message), message
@@ -862,6 +864,10 @@ def test_cli_ft_matches_library(tmp_path):
         SampledFunction(grid, vals.astype(complex)), np.linspace(-2, 2, 9)
     ).values
     np.testing.assert_array_equal(spectrum, expected)
+    # --omega gives one frequency in place of the lattice
+    assert main(["ft", "--input", str(inp), "--out", str(out), "--omega", "2.5"]) == 0
+    (one,) = forward_transform(SampledFunction(grid, vals.astype(complex)), [2.5]).values
+    assert out.read_text() == f"omega,re,im\n2.5,{float(one.real)!r},{float(one.imag)!r}\n"
 
 
 def test_cli_ft_ift_round_trip(tmp_path):
@@ -939,6 +945,12 @@ def test_cli_radon_fbp_metrics_pipeline(tmp_path, capsys):
     psnrs = [float(line.split("=")[1]) for line in out.splitlines() if line.startswith("psnr=")]
     assert len(psnrs) == 2
     assert psnrs[0] > 15.0
+    # fbp without --sinogram scans the phantom as radon did
+    direct, pgm = tmp_path / "d.img", tmp_path / "d.pgm"
+    assert main(["fbp", "--size", "64", "--angles-step-deg", "3", "--num-bins", "93",
+                 "--out", str(direct), "--pgm", str(pgm)]) == 0
+    np.testing.assert_array_equal(oqfio.read_image(direct).pixels, oqfio.read_image(recon).pixels)
+    assert pgm.read_bytes().startswith(b"P5\n64 64\n65535\n")
 
 
 def test_cli_fbp_filters_at_the_sinograms_own_band(tmp_path):
@@ -1338,8 +1350,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ("run_1d_reconstruction.py", 6),
 ])
 def test_scripts_write_their_outputs(script, outputs, tmp_path):
+    # A RuntimeWarning (overflow, invalid value) in either script fails it.
     src = str(SCRIPTS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / script), "--outdir", str(tmp_path)],
@@ -1360,3 +1373,48 @@ def test_cli_output_in_missing_directory_names_the_output(tmp_path, capsys, flag
     assert str(out) in err and "No such file or directory" in err
     assert ".tmp" not in err
     assert not out.parent.exists()
+
+
+def test_every_writer_leaves_the_umask_mode(tmp_path):
+    # A temp file is created with mode 0o666 less the umask, as open()
+    # creates a file, and the rename keeps that mode.
+    img = ImageGrid(2, 3, np.arange(6.0).reshape(2, 3))
+    previous = os.umask(0o022)
+    try:
+        oqfio.write_complex_csv(tmp_path / "f.csv", "x", np.arange(2.0), np.ones(2))
+        oqfio.write_coefficients_csv(tmp_path / "w.csv", np.ones(2))
+        oqfio.write_sweep_csv(tmp_path / "s.csv", [transform.QuadratureErrorRecord(0.0, 1j)])
+        oqfio.write_sinogram(tmp_path / "s.sino", Sinogram(2, 3, 0.0, 0.1, -1.0, 1.0, img.pixels))
+        oqfio.write_image(tmp_path / "i.img", img)
+        oqfio.write_pgm16(tmp_path / "i.pgm", img)
+        assert main(["metrics", "--test", str(tmp_path / "i.img"), "--ref",
+                     str(tmp_path / "i.img"), "--out", str(tmp_path / "m.txt")]) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["f.csv", "w.csv", "s.csv", "s.sino", "i.img", "i.pgm", "i.pgm.scale", "m.txt"], "0o644")
+
+
+def test_cli_failed_output_replaces_no_earlier_output(tmp_path, capsys):
+    # --out is written first, then --pgm fails: the run exits 4 and the
+    # image keeps its old bytes, with no temp file left beside it.
+    img = tmp_path / "x.img"
+    img.write_bytes(b"old")
+    missing = tmp_path / "missing" / "x.pgm"
+    assert main(["phantom", "--size", "16", "--out", str(img), "--pgm", str(missing)]) == 4
+    assert str(missing) in capsys.readouterr().err
+    assert img.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [img]
+
+
+def test_cli_pgm_with_a_directory_sidecar_replaces_nothing(tmp_path, capsys):
+    # The sidecar's path is a directory: no rename runs, so neither the PGM
+    # nor --out is replaced, and the error names the sidecar.
+    pgm, img = tmp_path / "y.pgm", tmp_path / "y.img"
+    (tmp_path / "y.pgm.scale").mkdir()
+    assert main(["phantom", "--size", "16", "--out", str(img), "--pgm", str(pgm)]) == 4
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{tmp_path / 'y.pgm.scale'}'" in err and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["y.pgm.scale"]
+    assert not any((tmp_path / "y.pgm.scale").iterdir())
