@@ -146,8 +146,12 @@ def filter_projections(sino: Sinogram) -> FilteredSinogram:
     buffer[:, :n] = data
     spectra = np.fft.rfft(buffer, axis=1)
     spectra *= np.fft.rfft(kernel)
-    filtered = np.fft.irfft(spectra, length, axis=1, out=buffer)[:, :n]
-    filtered += data[:, [0, -1]] @ np.stack([end, end[::-1]])
+    np.fft.irfft(spectra, length, axis=1, out=buffer)
+    del spectra
+    # The end product is summed into its own (A, n) array, so the result
+    # holds neither the (A, N) buffer nor the spectra.
+    filtered = data[:, [0, -1]] @ np.stack([end, end[::-1]])
+    filtered += buffer[:, :n]
     return FilteredSinogram(*sino.geometry(), data=filtered)
 
 
@@ -201,10 +205,15 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
     # v = u + 1; slots 0 and n are zero.  The integer cast truncates, which
     # is floor for v >= 0 and slot 0 for v in (-1, 0), and ``take`` clips
     # every other index off the detector onto slot 0 or n.
-    slope = np.diff(q.data, axis=1)
+    # Its imaginary part is c[k] - c[k + 1], minus the slope, and its real
+    # part (c[k] - c[k + 1]) (k + 1) + c[k], which is c[k] - slope (k + 1);
+    # both are built in place and are exact (a zero's sign may differ, and
+    # no pixel sum keeps it).
     table = np.zeros((q.num_angles, n + 1), dtype=complex)
-    table.real[:, 1:n] = q.data[:, :-1] - slope * np.arange(1, n)
-    table.imag[:, 1:n] = -slope
+    real, imag = table.real[:, 1:n], table.imag[:, 1:n]
+    np.subtract(q.data[:, :-1], q.data[:, 1:], out=imag)
+    np.multiply(imag, np.arange(1, n), out=real)
+    real += q.data[:, :-1]
 
     orbits = _square_orbits(q.theta0, q.dtheta, q.num_angles)
     image = ImageGrid(size, size, np.zeros((size, size)))
@@ -229,7 +238,7 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
         index = np.empty((rows, size), dtype=np.intp)
         on_last_bin = np.empty((rows, size), dtype=bool)
         gathered = np.empty((rows, size), dtype=complex)
-        sums = np.empty((4, rows, size), dtype=complex)
+        sums = np.empty((4, rows, size))  # the real parts; no pixel reads the rest
         for strip in strips:
             r0, r1 = strip.start, strip.stop
             h = r1 - r0
@@ -247,12 +256,12 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
                 for k, frame in orbit:
                     table[k].take(idx, out=g, mode="clip")
                     g *= w
-                    s[frame] += g
-            accum[r0:r1] += s[0].real
-            accum[r0:r1] += s[2].real[:, ::-1]
+                    s[frame] += g.real
+            accum[r0:r1] += s[0]
+            accum[r0:r1] += s[2][:, ::-1]
             with turned_lock:
-                turned[r0:r1] += s[1].real
-                turned[size - r1:size - r0] += s[3].real[::-1]
+                turned[r0:r1] += s[1]
+                turned[size - r1:size - r0] += s[3][::-1]
 
     run_strips(image.strips(), project)
     accum += turned[:, ::-1].T

@@ -32,12 +32,15 @@ def inner_region_mask(image: ImageGrid) -> np.ndarray:
     shrunk = replace(
         inner, semi_a=inner.semi_a * INNER_SCALE, semi_b=inner.semi_b * INNER_SCALE
     )
-    mask = np.empty((image.rows, image.cols), dtype=bool)
+    mask = np.zeros((image.rows, image.cols), dtype=bool)
     xs, ys = image.axes()
+    window, cols = shrunk.window(image)
 
     def fill(strips):
         for strip in strips:
-            mask[strip] = shrunk.contains(xs, ys[strip, None])
+            rows = slice(max(window.start, strip.start), min(window.stop, strip.stop))
+            if rows.start < rows.stop:
+                mask[rows, cols] = shrunk.contains(xs[cols], ys[rows, None])
 
     run_strips(image.strips(), fill)
     return mask

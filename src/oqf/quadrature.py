@@ -526,10 +526,13 @@ def monomial_fourier_integral(alpha: int, omegas, a: float, b: float):
     scales = np.array([math.comb(alpha, i) * c ** (alpha - i) * r ** (i + 1)
                        for i in range(alpha + 1)])
     terms = np.zeros((alpha + 1, s.size))
-    for column in series.T[::-1]:
-        terms *= s
-        terms *= s
-        np.subtract(column[:, None], terms, out=terms)
+    if s.any():
+        for column in series.T[::-1]:
+            terms *= s
+            terms *= s
+            np.subtract(column[:, None], terms, out=terms)
+    else:  # at s = 0 the last step leaves each series' constant term
+        terms += series[:, :1]
     terms[1::2] *= s
     terms *= scales[:, None]
     total = np.empty(s.size, dtype=complex)

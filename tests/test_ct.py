@@ -548,6 +548,93 @@ def test_ellipse_contains_boundary_rotation_and_broadcast():
     np.testing.assert_array_equal(inside, [[True, True, False], [False, False, False]])
 
 
+def whole_raster_paint(ellipses, image):
+    """Every ellipse's intensity added over the whole raster, in order."""
+    xs, ys = image.axes()
+    pixels = np.zeros((image.rows, image.cols))
+    for e in ellipses:
+        pixels += e.intensity * e.contains(xs, ys[:, None])
+    return pixels
+
+
+def random_ellipses(rng, size):
+    """Seeded ellipses of every kind a window must cover: rotated by exactly
+    0 and 90 degrees or at random, crossing the raster's edge or outside it,
+    and smaller than a pixel, one of those centred on a pixel center."""
+    pitch = 2.0 / size
+    ellipses = [Ellipse(-1.0 + pitch * 3.5, 1.0 - pitch * 2.5, 0.01 * pitch, 0.02 * pitch,
+                        0.0, 1.5)]
+    for k in range(60):
+        cx, cy = rng.uniform(-1.4, 1.4, 2)
+        a, b = np.exp(rng.uniform(math.log(0.05 * pitch), math.log(1.2), 2))
+        rotation = (0.0, 90.0, -90.0, 180.0)[k % 4] if k % 3 else rng.uniform(-180.0, 180.0)
+        ellipses.append(Ellipse(cx, cy, a, b, rotation, rng.normal()))
+    return ellipses
+
+
+@pytest.mark.parametrize("size", [16, 181, 512])
+def test_rasterize_in_windows_is_the_whole_raster_test(size):
+    ellipses = random_ellipses(np.random.default_rng(size), size)
+    image = phantom.rasterize(EllipsePhantom(tuple(ellipses)), size)
+    assert image.pixels.tobytes() == whole_raster_paint(ellipses, image).tobytes()
+    xs, ys = image.axes()
+    for e in ellipses:
+        rows, cols = e.window(image)
+        outside = e.contains(xs, ys[:, None])
+        outside[rows, cols] = False
+        assert not outside.any(), e
+    assert ellipses[0].contains(xs[3], ys[2])  # the sub-pixel one holds a pixel center
+
+
+@pytest.mark.parametrize("rows, cols, extent", [
+    (16, 16, (-1.0, -1.0, 1.0, 1.0)),
+    (181, 181, (-1.0, -1.0, 1.0, 1.0)),
+    (512, 512, (-1.0, -1.0, 1.0, 1.0)),
+    (181, 97, (-0.3, -1.1, 0.9, 0.2)),
+    (40, 512, (-2.0, -0.5, 0.1, 3.0)),
+])
+def test_inner_region_mask_in_a_window_is_the_whole_raster_test(rows, cols, extent):
+    image = ImageGrid(rows, cols, np.zeros((rows, cols)), extent)
+    inner = shepp_logan_phantom().ellipses[1]
+    shrunk = Ellipse(inner.center_x, inner.center_y, inner.semi_a * 0.98, inner.semi_b * 0.98,
+                     inner.rotation_deg, inner.intensity)
+    xs, ys = image.axes()
+    expected = shrunk.contains(xs, ys[:, None])
+    assert inner_region_mask(image).tobytes() == expected.tobytes()
+
+
+def test_filter_returns_an_array_of_its_own():
+    sino = radon_analytic(shepp_logan_phantom(), 30, 6.0, 101)
+    data = filter_projections(sino).data
+    assert data.base is None and data.flags.owndata
+    assert data.nbytes == 30 * 101 * 8
+
+
+def test_backproject_peak_memory_is_its_table_rasters_and_strip_buffers(monkeypatch):
+    # At 512^2 / 360 angles back-projection holds its lerp table, the image and
+    # the turned accumulator, the orbits' row and column terms, and one set of
+    # strip buffers per group.  Beyond those, each group's float-to-index cast
+    # takes numpy's buffers (two operands of np.getbufsize() elements), and
+    # 64 KiB covers the orbit lists and other small objects.
+    set_cpus(monkeypatch, 2)
+    size, num_angles, num_bins = 512, 360, default_num_bins(512)
+    q = filter_projections(radon_analytic(shepp_logan_phantom(), num_angles, 0.5, num_bins))
+    orbits = len(_square_orbits(q.theta0, q.dtheta, num_angles))
+    rows = phantom.STRIP_PIXELS // size
+    table = num_angles * (num_bins + 1) * 16
+    rasters = 2 * size * size * 8
+    terms = 2 * orbits * size * 8
+    strip_buffers = 2 * rows * size * (16 + 8 + 1 + 16 + 4 * 8)  # 2 groups
+    tracemalloc.start()
+    try:
+        backproject(q, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cast_buffers = 2 * 2 * np.getbufsize() * 8
+    assert peak <= table + rasters + terms + strip_buffers + cast_buffers + (1 << 16)
+
+
 def test_fbp_small_scale_recovers_disk():
     ph = unit_disk()
     cfg = FbpConfig(size=64, dtheta_deg=3.0)
@@ -739,19 +826,31 @@ def set_cpus(monkeypatch, cpus):
                         raising=False)
 
 
+def strip_counts(size):
+    """Row counts of the strips of a size x size raster."""
+    return [s.stop - s.start for s in ImageGrid(size, size, np.zeros((size, size))).strips()]
+
+
 def strip_outputs():
-    """Raw bytes of every strip-run stage on rasters of one strip (16),
-    unequal strips (181: 90, 90 and 1 rows) and six strips (300), and on
-    sinograms of one angle block (3 x 101) and of five (90 x 729)."""
+    """Raw bytes of every strip-run stage on rasters of one strip, of unequal
+    strips and of six strips or more, and on sinograms of one angle block and
+    of five, all sized from phantom.STRIP_PIXELS."""
+    one, unequal = 16, math.isqrt(2 * phantom.STRIP_PIXELS) + 1
+    many = math.isqrt(6 * phantom.STRIP_PIXELS) + 1
+    assert strip_counts(one) == [one]
+    assert len(strip_counts(unequal)) >= 3 and len(set(strip_counts(unequal))) == 2
+    assert len(strip_counts(many)) >= 6
+    num_bins = 729
+    block = phantom.STRIP_PIXELS // num_bins  # angle rows per radon block
     ph = shepp_logan_phantom()
     out = {}
-    for num_angles, num_bins in ((3, 101), (90, 729)):
+    for num_angles in (3, 5 * block - 1):  # one block; four full and a shorter one
         sino = radon_analytic(ph, num_angles, 180.0 / num_angles, num_bins)
         out[f"radon_{num_angles}"] = sino.data.tobytes()
         q = filter_projections(sino)
-        for size in (16, 181, 300):
+        for size in (one, unequal, many):
             out[f"backproject_{num_angles}_{size}"] = backproject(q, size).pixels.tobytes()
-    for size in (16, 181, 300):
+    for size in (one, unequal, many):
         raster = phantom.rasterize(ph, size)
         out[f"rasterize_{size}"] = raster.pixels.tobytes()
         out[f"mask_{size}"] = inner_region_mask(raster).tobytes()

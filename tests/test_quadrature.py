@@ -255,6 +255,19 @@ def test_monomial_integral_array_matches_elementwise_calls():
             _same_bits(batched, np.array([np.polyval(row, x) for row in coeffs]))
 
 
+def test_monomial_integral_at_zero_alone_equals_the_full_taylor_pass():
+    # Where omega = 0 is the only Taylor entry, the recurrence is skipped; one
+    # more entry at omega = 1e-3 makes the call run it, and every value is
+    # computed per entry, so each shared entry must keep its bits.
+    lattices = ([0.0], [-0.0], [-40.0, 0.0, 40.0], np.linspace(-50.0, 50.0, 11), [])
+    for alpha in range(9):
+        for a, b in ((-1.0, 1.0), (-1.5, 2.0), (3.0, 3.5), (-2.0, 0.0)):
+            for lattice in lattices:
+                skipped = monomial_fourier_integral(alpha, np.asarray(lattice), a, b)
+                full = monomial_fourier_integral(alpha, np.append(lattice, 1e-3), a, b)
+                _same_bits(skipped, full[:-1])
+
+
 def _horner_taylor(alpha, omegas, a, b):
     # The Taylor branch as one Horner pass per series of 24 + 2 alpha terms,
     # scaled and summed series by series: the reference for the power table.
