@@ -3,7 +3,9 @@
 Everything here is deliberately naive: a dense Lagrange-system solve for the
 weights, a brute-force evaluation of the squared error norm from its defining
 quadratic form, and identity checks for the three-point discrete second
-difference.  These routes never share code with the closed forms they check.
+difference.  The Lagrange system's matrix is real and is factored once for
+every complex right-hand side.  These routes never share code with the
+closed forms they check.
 """
 
 from __future__ import annotations
@@ -78,10 +80,15 @@ def solve_coefficient_system(n: int, omega) -> CoefficientSystemSolution:
     constant-exactness constraint.  Also reports the residual of the
     first-moment identity the solution must satisfy (exactness on x).
 
-    The matrix does not depend on the frequency, so one factorisation
-    serves every entry of a 1-d omega: coefficients then have shape
-    (M, n+1), p0 and moment_residual shape (M,), and residual is the
-    largest over all right-hand sides.  A scalar omega gives one row.
+    The matrix is real (the Gram matrix of |x - y|/2 at the nodes, bordered
+    by the constant-exactness row and column) and does not depend on the
+    frequency; only the right-hand sides, the moments of e^{2 pi i omega x},
+    are complex.  So it is factored once, in real arithmetic, for the real
+    and imaginary parts of every entry of a 1-d omega: coefficients then
+    have shape (M, n+1), p0 and moment_residual shape (M,), and residual is
+    the largest modulus over all right-hand sides.  A scalar omega gives
+    one row.  condition is the matrix's 2-norm condition number; above
+    1e12, or not finite, it raises SolverFailure.
     """
     if n < 1:
         raise ValueError(f"need at least one subinterval, got n={n}")
@@ -93,18 +100,24 @@ def solve_coefficient_system(n: int, omega) -> CoefficientSystemSolution:
     nodes = h * np.arange(n + 1)
 
     size = n + 2
-    mat = np.zeros((size, size), dtype=complex)
+    mat = np.zeros((size, size))
     mat[: n + 1, : n + 1] = _kernel(nodes[:, None] - nodes[None, :])
     mat[: n + 1, n + 1] = 1.0
     mat[n + 1, : n + 1] = 1.0
     constant, linear = _moments(omegas)
-    rhs = np.vstack([_kernel_integral(nodes, omegas).T, constant])
+    rhs = np.empty((size, omegas.size), dtype=complex)  # C order, for the real view
+    rhs[: n + 1] = _kernel_integral(nodes, omegas).T
+    rhs[n + 1] = constant
 
     condition = float(np.linalg.cond(mat))
     if not np.isfinite(condition) or condition > 1e12:
         raise SolverFailure("coefficient system is ill-conditioned", condition)
+    # Each complex column of rhs is seen as two real columns (real and
+    # imaginary parts side by side), so one real factorisation solves them all.
+    rhs = rhs.view(float)
     solution = np.linalg.solve(mat, rhs)
-    residual = float(np.max(np.abs(mat @ solution - rhs)))
+    residual = float(np.max(np.abs((mat @ solution - rhs).view(complex))))
+    solution = solution.view(complex)
 
     coefficients = solution[: n + 1].T
     p0 = solution[n + 1]

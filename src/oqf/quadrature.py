@@ -89,44 +89,55 @@ def _node_block(m: int) -> int:
 _UNIFORM_ULPS = 4
 
 
-def _by_theta(theta, series, direct, *args):
-    """series(t) where |theta| < SMALL_THETA, direct(t, *args) elsewhere.  Vectorized.
+def _by_theta(theta, forms, *args):
+    """[series(t) where |theta| < SMALL_THETA, direct(t, *args) elsewhere, for
+    each (series, direct) pair in forms].  Vectorized.
 
-    Each form runs only on its own entries of theta and of args, arrays
-    aligned with theta, and not at all where it has none: the series' top
-    power would overflow above about 1e17, and the direct forms divide by
-    theta^2.  A direct form's overflow, or its division by a square that
-    underflows (error_norm at a very large step), gives inf without a warning.
+    theta is split once for all the pairs.  Each form runs only on its own
+    entries of theta and of args, arrays aligned with theta, and not at all
+    where it has none: the series' top power would overflow above about
+    1e17, and the direct forms divide by theta^2.  A direct form's overflow,
+    or its division by a square that underflows (error_norm at a very large
+    step), gives inf without a warning.
     """
     theta = np.asarray(theta, dtype=float)
     small = np.abs(theta) < SMALL_THETA
     count = np.count_nonzero(small)
     if count == theta.size:
-        return series(theta)
+        return [series(theta) for series, _ in forms]
     with np.errstate(divide="ignore", over="ignore"):
         if count == 0:
-            return direct(theta, *args)
+            return [direct(theta, *args) for _, direct in forms]
         near, far = small.nonzero(), (~small).nonzero()
-        wide = direct(theta[far], *(np.asarray(a)[far] for a in args))
-    out = np.empty(theta.shape, dtype=wide.dtype)
-    out[far] = wide
-    out[near] = series(theta[near])
-    return out
+        args = [np.asarray(a)[far] for a in args]
+        wide = [direct(theta[far], *args) for _, direct in forms]
+    outs = []
+    for (series, _), values in zip(forms, wide):
+        out = np.empty(theta.shape, dtype=values.dtype)
+        out[far] = values
+        out[near] = series(theta[near])
+        outs.append(out)
+    return outs
+
+
+# The (series, direct) pairs of _interior_factor and _left_factor, for _by_theta.
+_INTERIOR = (lambda t: np.polyval(_INTERIOR_SERIES, t * t),
+             lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
+_LEFT = (lambda t: np.polyval(_LEFT_SERIES, 1j * t),
+         lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
 
 
 def _interior_factor(theta):
-    """2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
-    return _by_theta(theta, lambda t: np.polyval(_INTERIOR_SERIES, t * t),
-                     lambda t: 2.0 * (1.0 - np.cos(t)) / (t * t))
+    """I(theta) = 2(1 - cos theta)/theta^2, stable near theta = 0.  Vectorized."""
+    return _by_theta(theta, [_INTERIOR])[0]
 
 
 def _left_factor(theta):
-    """(1 + i theta - e^{i theta})/theta^2, stable near theta = 0.  Vectorized.
+    """L(theta) = (1 + i theta - e^{i theta})/theta^2, stable near theta = 0.  Vectorized.
 
     Equals (e^z - 1 - z)/z^2 with z = i theta.
     """
-    return _by_theta(theta, lambda t: np.polyval(_LEFT_SERIES, 1j * t),
-                     lambda t: (1.0 + 1j * t - np.exp(1j * t)) / (t * t))
+    return _by_theta(theta, [_LEFT])[0]
 
 
 def _trapezoid_weights(grid: UniformGrid) -> np.ndarray:
@@ -163,9 +174,10 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
     theta = TWO_PI * omegas * h
 
     # Every node takes h I(theta) e^{2 pi i omega x}; then the end nodes take theirs.
+    interior, left = _by_theta(theta, [_INTERIOR, _LEFT])
     phases = np.exp(1j * math.pi * _node_turns(grid.nodes(), omegas))
-    weights = (h * _interior_factor(theta))[:, None] * phases
-    weights[:, 0], weights[:, -1] = _end_weights(h, theta, phases)
+    weights = (h * interior)[:, None] * phases
+    weights[:, 0], weights[:, -1] = _end_weights(h, left, phases)
     return weights[0] if scalar else weights
 
 
@@ -288,10 +300,10 @@ def _node_turns(nodes: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     return _half_turns(nodes, 2.0 * omegas[:, None])
 
 
-def _end_weights(h: float, theta: np.ndarray, phases: np.ndarray):
+def _end_weights(h: float, left: np.ndarray, phases: np.ndarray):
     """The end nodes' weights h L(theta) e^{2 pi i omega a} and h conj(L(theta))
-    e^{2 pi i omega b}, from the first and last columns of the node phases."""
-    left = _left_factor(theta)
+    e^{2 pi i omega b}, from left = L(theta) and the first and last columns of
+    the node phases."""
     return h * left * phases[:, 0], h * np.conj(left) * phases[:, -1]
 
 
@@ -406,7 +418,8 @@ def _apply_chirp(
         turns[at + table :] -= chirp[np.abs(q)]
     phases = np.exp(1j * math.pi * turns)
     if at:
-        out = ends @ np.stack(_end_weights(h, theta, phases[:at].reshape(2, m).T))
+        left = _left_factor(theta)
+        out = ends @ np.stack(_end_weights(h, left, phases[:at].reshape(2, m).T))
     else:  # both end samples are zero in every column
         out = np.zeros((rows, m), dtype=complex)
 
@@ -470,10 +483,10 @@ def error_norm(omegas, h: float):
         raise ValueError(f"step must be finite and positive, got h={h}")
     scalar = np.ndim(omegas) == 0
     omegas = _frequencies(omegas, h)
-    norm_sq = _by_theta(
+    [norm_sq] = _by_theta(
         TWO_PI * omegas * h,
-        lambda t: h * h * np.polyval(_NORM_SERIES, t * t),
-        lambda t, om: (1.0 - _interior_factor(t)) / (TWO_PI * om) ** 2,
+        [(lambda t: h * h * np.polyval(_NORM_SERIES, t * t),
+          lambda t, om: (1.0 - _interior_factor(t)) / (TWO_PI * om) ** 2)],
         omegas,
     )
     return float(norm_sq[0]) if scalar else norm_sq

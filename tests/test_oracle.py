@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oqf import oracle
+from oqf import oracle, verify
 from oqf.grid import UniformGrid
 from oqf.quadrature import coefficient_matrix, error_norm
 
@@ -75,6 +75,41 @@ def test_frequency_array_with_zero_gives_trapezoid_row_without_warning():
 def test_frequency_array_must_be_one_dimensional():
     with pytest.raises(ValueError, match="scalar or 1-d"):
         oracle.solve_coefficient_system(4, np.zeros((2, 2)))
+
+
+def _complex_solve(n, omegas):
+    # The system as one complex matrix, the formulation the real solve replaces.
+    nodes = np.arange(n + 1) / n
+    mat = np.zeros((n + 2, n + 2), dtype=complex)
+    mat[: n + 1, : n + 1] = oracle._kernel(nodes[:, None] - nodes[None, :])
+    mat[: n + 1, n + 1] = mat[n + 1, : n + 1] = 1.0
+    rhs = np.vstack([oracle._kernel_integral(nodes, omegas).T, oracle._moments(omegas)[0]])
+    solution = np.linalg.solve(mat, rhs)
+    return solution[: n + 1].T, solution[n + 1], float(np.linalg.cond(mat))
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_real_solve_matches_complex_formulation(n):
+    omegas = np.array(verify.OMEGAS)
+    sol = oracle.solve_coefficient_system(n, omegas)
+    coefficients, p0, condition = _complex_solve(n, omegas)
+    # Two backward-stable solves agree to about condition * eps of the weights:
+    # at most 3.5e-14 (at n = 29), the condition being at most about 1200.
+    assert np.abs(sol.coefficients - coefficients).max() <= 1e-13
+    assert np.abs(sol.p0 - p0).max() <= 1e-15
+    assert sol.condition == pytest.approx(condition, rel=1e-12)
+    assert sol.residual < 1e-10
+
+
+def test_singular_system_raises_solver_failure(monkeypatch):
+    # With a zero kernel the bordered matrix has rank 2.
+    monkeypatch.setattr(oracle, "_kernel", np.zeros_like)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.SolverFailure, match="ill-conditioned") as failure:
+            oracle.solve_coefficient_system(8, np.array(verify.OMEGAS))
+    condition = failure.value.condition
+    assert not np.isfinite(condition) or condition > 1e12
 
 
 def test_bruteforce_norm_trapezoid():

@@ -826,7 +826,8 @@ def _single_convolution(grid, omegas, values):
     cols = values.reshape(n + 1, -1).T
     theta = TWO_PI * omegas * h
     turns = quadrature._node_turns(grid.nodes()[[0, n // 2, -1]], omegas)
-    ends = quadrature._end_weights(h, theta, np.exp(1j * math.pi * turns[:, [0, -1]]))
+    ends = quadrature._end_weights(h, quadrature._left_factor(theta),
+                                   np.exp(1j * math.pi * turns[:, [0, -1]]))
     out = cols[:, [0, -1]] @ np.stack(ends)
     q = np.arange(1, n, dtype=np.int64) - n // 2
     p = np.arange(m, dtype=np.int64) - m // 2
