@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..quadrature import _fft_length
-from .phantom import EllipsePhantom, ImageGrid, Sinogram, radon_analytic, run_strips
+from .phantom import (EllipsePhantom, ImageGrid, Sinogram, radon_analytic, run_strips,
+                      square_raster)
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,7 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
     strip by a column flip, frames 1 and 3 through a second full-size
     accumulator that is flipped and transposed once.
     """
-    if size < 16:
-        raise ValueError(f"raster size must be at least 16, got {size}")
+    image = square_raster(size)
     n = q.num_bins
     # Slot k + 1 holds the segment from bin k to k + 1 in the shifted index
     # v = u + 1; slots 0 and n are zero.  The integer cast truncates, which
@@ -216,9 +216,8 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
     real += q.data[:, :-1]
 
     orbits = _square_orbits(q.theta0, q.dtheta, q.num_angles)
-    image = ImageGrid(size, size, np.zeros((size, size)))
     xs, ys = image.axes()
-    base = q.theta0 + q.dtheta * np.array([orbit[0][0] for orbit in orbits])
+    base = q.angles()[[orbit[0][0] for orbit in orbits]]
     # Bounding each term keeps the integer cast of their sum in range; past
     # 2**60 the float spacing is far coarser than one detector bin anyway.
     col_terms = np.clip((np.cos(base)[:, None] * xs - q.t0) / q.dt + 1.0, -2.0**60, 2.0**60)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phantom import ImageGrid, run_strips, shepp_logan_phantom
+from .phantom import ImageGrid, paint, shepp_logan_phantom
 
 
 @dataclass(frozen=True)
@@ -26,24 +26,14 @@ def inner_region_mask(image: ImageGrid) -> np.ndarray:
     """Pixels inside or on the inner-skull ellipse shrunk by INNER_SCALE.
 
     The mask excludes the bright outer ring of the head phantom so metrics
-    reflect interior structure only.
+    reflect interior structure only.  It is the shrunk ellipse painted at
+    intensity 1 on a blank raster of image's shape and extent.
     """
     inner = shepp_logan_phantom().ellipses[1]
-    shrunk = replace(
-        inner, semi_a=inner.semi_a * INNER_SCALE, semi_b=inner.semi_b * INNER_SCALE
-    )
-    mask = np.zeros((image.rows, image.cols), dtype=bool)
-    xs, ys = image.axes()
-    window, cols = shrunk.window(image)
-
-    def fill(strips):
-        for strip in strips:
-            rows = slice(max(window.start, strip.start), min(window.stop, strip.stop))
-            if rows.start < rows.stop:
-                mask[rows, cols] = shrunk.contains(xs[cols], ys[rows, None])
-
-    run_strips(image.strips(), fill)
-    return mask
+    shrunk = replace(inner, semi_a=inner.semi_a * INNER_SCALE,
+                     semi_b=inner.semi_b * INNER_SCALE, intensity=1.0)
+    blank = ImageGrid(image.rows, image.cols, np.zeros((image.rows, image.cols)), image.extent)
+    return paint(blank, [shrunk]).pixels != 0
 
 
 def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> QualityReport:
@@ -58,16 +48,16 @@ def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> Qua
     if rasters[0] != rasters[1]:
         raise ValueError("image rasters differ in size or extent: "
                          + " vs ".join("{}x{} over {}".format(*r) for r in rasters))
+    diff = np.abs(test.pixels - ref.pixels)
     if region == "whole":
-        mask = np.ones((ref.rows, ref.cols), dtype=bool)
+        diff = diff.ravel()
     elif region == "inner":
         mask = inner_region_mask(ref)
+        if not mask.any():
+            raise ValueError(f"region {region!r} holds no pixel of the raster over {ref.extent}")
+        diff = diff[mask]
     else:
         raise ValueError(f"unknown region {region!r}")
-    if not mask.any():
-        raise ValueError(f"region {region!r} holds no pixel of the raster over {ref.extent}")
-
-    diff = np.abs(test.pixels - ref.pixels)[mask]
     e_max = float(diff.max())
     mse = float(np.mean(diff * diff))
     peak = float(ref.pixels.max())

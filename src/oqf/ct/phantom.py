@@ -37,12 +37,12 @@ class Ellipse:
     def window(self, image: ImageGrid) -> tuple[slice, slice]:
         """Row and column slices of image holding every pixel center the ellipse may contain.
 
-        The ellipse's bounding box has half-extents
+        Each slice runs from the first to the last of ``image.axes()``'s
+        centers inside the ellipse's bounding box, whose half-extents are
         sqrt(a^2 cos^2 phi + b^2 sin^2 phi) in x and
-        sqrt(a^2 sin^2 phi + b^2 cos^2 phi) in y.  The slices reach a pixel
-        past it, plus 2**-40 of the coordinates' scale, far beyond the
-        rounding of ``contains``, so pixels outside them would add nothing
-        to a raster.
+        sqrt(a^2 sin^2 phi + b^2 cos^2 phi) in y, widened by 2**-40 of the
+        coordinates' scale, far beyond the rounding of ``contains``, so
+        pixels outside the slices would add nothing to a raster.
         """
         phi = math.radians(self.rotation_deg)
         cos2, sin2 = math.cos(phi) ** 2, math.sin(phi) ** 2
@@ -50,26 +50,12 @@ class Ellipse:
         half_y = math.sqrt(self.semi_a**2 * sin2 + self.semi_b**2 * cos2)
         slack = 2.0**-40 * (abs(self.center_x) + abs(self.center_y) + half_x + half_y
                             + max(map(abs, image.extent)))
-        min_x, min_y, max_x, max_y = image.extent
-        # Column j's center is at index (x - min_x)/dx - 1/2, row i's at
-        # (max_y - y)/dy - 1/2.
-        to_col = image.cols / (max_x - min_x)
-        to_row = image.rows / (max_y - min_y)
-        return (
-            _index_span((max_y - self.center_y - half_y - slack) * to_row - 0.5,
-                        (max_y - self.center_y + half_y + slack) * to_row - 0.5, image.rows),
-            _index_span((self.center_x - half_x - slack - min_x) * to_col - 0.5,
-                        (self.center_x + half_x + slack - min_x) * to_col - 0.5, image.cols),
-        )
-
-
-def _index_span(lo: float, hi: float, count: int) -> slice:
-    """Indices in [lo - 1, hi + 1] within range(count); all of them if lo or hi is NaN."""
-    if not lo <= hi:
-        return slice(0, count)
-    start = math.ceil(min(max(lo - 1.0, 0.0), count))
-    stop = math.floor(min(max(hi + 1.0, -1.0), count - 1.0)) + 1
-    return slice(start, max(start, stop))
+        xs, ys = image.axes()
+        spans = []
+        for centers, middle, half in ((ys, self.center_y, half_y), (xs, self.center_x, half_x)):
+            inside = np.flatnonzero(np.abs(centers - middle) <= half + slack)
+            spans.append(slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0))
+        return tuple(spans)
 
 
 @dataclass(frozen=True)
@@ -77,9 +63,6 @@ class EllipsePhantom:
     """A sum of ellipses inside the unit disk, over the square [-1,1]^2."""
 
     ellipses: tuple[Ellipse, ...]
-
-    def value_at(self, x: float, y: float) -> float:
-        return sum((e.intensity for e in self.ellipses if e.contains(x, y)), 0.0)
 
 
 # Semi-axes / centers / rotations shared by both standard head phantom tables.
@@ -195,37 +178,47 @@ class ImageGrid:
         ys = max_y - dy * (np.arange(self.rows) + 0.5)
         return xs, ys
 
-    def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical (x, y) coordinates of all pixel centers, as 2-d arrays."""
-        return np.meshgrid(*self.axes())
-
     def strips(self) -> list[slice]:
         """Row slices of at most STRIP_PIXELS pixels (one row at least), in order."""
         rows = min(self.rows, max(1, STRIP_PIXELS // self.cols))
         return [slice(r0, min(r0 + rows, self.rows)) for r0 in range(0, self.rows, rows)]
 
 
-def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
-    """Rasterize the phantom on a size x size grid over [-1, 1]^2.
-
-    Pixel value is the summed intensity of the ellipses containing the
-    pixel center; each ellipse is tested only inside its ``window``.
-    """
+def square_raster(size: int) -> ImageGrid:
+    """A size x size raster of zeros over [-1, 1]^2; ValueError unless size >= 16."""
     if size < 16:
         raise ValueError(f"raster size must be at least 16, got {size}")
-    image = ImageGrid(size, size, np.zeros((size, size)))
-    xs, ys = image.axes()
-    windows = [e.window(image) for e in phantom.ellipses]
+    return ImageGrid(size, size, np.zeros((size, size)))
 
-    def paint(strips):
+
+def paint(image: ImageGrid, ellipses) -> ImageGrid:
+    """Add each ellipse's intensity, in order, to the pixels whose centers it contains.
+
+    Each ellipse is tested only inside its ``window``, in strips run by
+    ``run_strips``, with the same bytes as testing the whole raster.  The
+    pixels change in place; image is returned.
+    """
+    xs, ys = image.axes()
+    windows = [e.window(image) for e in ellipses]
+
+    def add(strips):
         for strip in strips:
-            for e, (rows, cols) in zip(phantom.ellipses, windows):
+            for e, (rows, cols) in zip(ellipses, windows):
                 rows = slice(max(rows.start, strip.start), min(rows.stop, strip.stop))
                 if rows.start < rows.stop:
                     image.pixels[rows, cols] += e.intensity * e.contains(xs[cols], ys[rows, None])
 
-    run_strips(image.strips(), paint)
+    run_strips(image.strips(), add)
     return image
+
+
+def rasterize(phantom: EllipsePhantom, size: int) -> ImageGrid:
+    """Rasterize the phantom on a size x size grid over [-1, 1]^2.
+
+    Pixel value is the summed intensity of the ellipses containing the
+    pixel center.
+    """
+    return paint(square_raster(size), phantom.ellipses)
 
 
 def shepp_logan(size: int, variant: str = "modified") -> ImageGrid:
@@ -264,7 +257,8 @@ def check_raster(rows, cols, min_x, min_y, max_x, max_y) -> None:
     """Reject a raster without pixels or whose extent is not a finite, non-empty box.
 
     Raises GeometryError for the first offending field: fewer than one row
-    or column, a non-finite extent value, or a maximum not above its minimum.
+    or column, a non-finite extent value, or a maximum not above its minimum
+    by a finite width, so every pixel center is finite.
     """
     for name, value in (("rows", rows), ("cols", cols)):
         if value < 1:
@@ -273,8 +267,9 @@ def check_raster(rows, cols, min_x, min_y, max_x, max_y) -> None:
         for name, value in ((f"min_{axis}", lo), (f"max_{axis}", hi)):
             if not math.isfinite(value):
                 raise GeometryError(name, f"must be finite, got {value!r}")
-        if not hi > lo:
-            raise GeometryError(f"max_{axis}", f"must exceed min_{axis} {lo!r}, got {hi!r}")
+        if not (hi > lo and math.isfinite(hi - lo)):
+            raise GeometryError(f"max_{axis}",
+                                f"must exceed min_{axis} {lo!r} by a finite width, got {hi!r}")
 
 
 @dataclass(frozen=True)

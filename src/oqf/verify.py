@@ -77,7 +77,7 @@ def check_discrete_operator() -> list[CheckResult]:
     report = oracle.discrete_operator_identities(0.1, 8)
     return [
         CheckResult(f"second_difference_{name}", dev, 1e-14)
-        for name, (_, dev) in report.items()
+        for name, dev in report.items()
     ]
 
 

@@ -23,7 +23,7 @@ from oqf.ct import (
 )
 from oqf.ct import phantom
 from oqf.ct.fbp import FilteredSinogram, _square_orbits
-from oqf.ct.phantom import ellipse_projection, ImageGrid, Sinogram
+from oqf.ct.phantom import ellipse_projection, ImageGrid, Sinogram, paint
 from oqf.grid import SampledFunction, UniformGrid
 from oqf.quadrature import _node_turns, coefficient_matrix
 from oqf.transform import forward_transform
@@ -34,10 +34,16 @@ def unit_disk(intensity=1.0, cx=0.0, cy=0.0, r=0.5):
     return EllipsePhantom((Ellipse(cx, cy, r, r, 0.0, intensity),))
 
 
+def value_at(phantom, x, y):
+    """The phantom's value at (x, y): the one pixel of a raster centred there."""
+    image = ImageGrid(1, 1, np.zeros((1, 1)), (x - 1.0, y - 1.0, x + 1.0, y + 1.0))
+    return paint(image, phantom.ellipses).pixels[0, 0]
+
+
 def test_phantom_center_values():
-    assert shepp_logan_phantom().value_at(0.0, 0.0) == pytest.approx(0.2)
-    assert shepp_logan_phantom("classic").value_at(0.0, 0.0) == pytest.approx(1.02)
-    assert shepp_logan_phantom().value_at(0.99, 0.0) == 0.0
+    assert value_at(shepp_logan_phantom(), 0.0, 0.0) == pytest.approx(0.2)
+    assert value_at(shepp_logan_phantom("classic"), 0.0, 0.0) == pytest.approx(1.02)
+    assert value_at(shepp_logan_phantom(), 0.99, 0.0) == 0.0
 
 
 def test_raster_ranges():
@@ -52,7 +58,7 @@ def test_raster_orientation():
     # the small ellipse at (0, -0.605) lands in the bottom (high-index)
     # rows; its mirror point at (0, +0.605) has only the background 0.2
     img = shepp_logan(128)
-    gx, gy = img.pixel_centers()
+    gx, gy = np.meshgrid(*img.axes())
     at = lambda x, y: img.pixels[np.argmin(np.hypot(gx - x, gy - y).ravel()) // 128][
         np.argmin(np.hypot(gx - x, gy - y).ravel()) % 128
     ]
@@ -447,7 +453,7 @@ def filtered_phantom(num_angles, dtheta_deg, num_bins, t_range=(-1.0, 1.0), thet
 def backproject_interp(q, size):
     """Reference back-projection: one binary-search ``np.interp`` per angle."""
     image = ImageGrid(size, size, np.zeros((size, size)))
-    gx, gy = image.pixel_centers()
+    gx, gy = np.meshgrid(*image.axes())
     bins = q.bins()
     accum = np.zeros((size, size))
     for k, theta in enumerate(q.angles()):
@@ -532,6 +538,7 @@ def test_geometry_rejects_meaningless_lattice(cls, case):
     (0, 2, (-1.0, -1.0, 1.0, 1.0)), (2, 0, (-1.0, -1.0, 1.0, 1.0)),
     (2, 2, (math.nan, -1.0, 1.0, 1.0)), (2, 2, (-1.0, -1.0, 1.0, math.inf)),
     (2, 2, (1.0, -1.0, 1.0, 1.0)), (2, 2, (-1.0, 1.0, 1.0, -1.0)),
+    (16, 16, (-1e308, -1.0, 1e308, 1.0)), (16, 16, (-1.0, -1e308, 1.0, 1e308)),
 ])
 def test_image_grid_rejects_meaningless_raster(rows, cols, extent):
     with pytest.raises(ValueError):
@@ -557,25 +564,42 @@ def whole_raster_paint(ellipses, image):
     return pixels
 
 
-def random_ellipses(rng, size):
+def random_ellipses(rng, image):
     """Seeded ellipses of every kind a window must cover: rotated by exactly
     0 and 90 degrees or at random, crossing the raster's edge or outside it,
-    and smaller than a pixel, one of those centred on a pixel center."""
-    pitch = 2.0 / size
-    ellipses = [Ellipse(-1.0 + pitch * 3.5, 1.0 - pitch * 2.5, 0.01 * pitch, 0.02 * pitch,
-                        0.0, 1.5)]
+    and smaller than a pixel, one of those centred on the pixel center
+    (xs[3], ys[2])."""
+    min_x, min_y, max_x, max_y = image.extent
+    middle = np.array([max_x + min_x, max_y + min_y]) / 2.0
+    half = np.array([max_x - min_x, max_y - min_y]) / 2.0
+    pitch = min(2.0 * half[0] / image.cols, 2.0 * half[1] / image.rows)
+    xs, ys = image.axes()
+    ellipses = [Ellipse(xs[3], ys[2], 0.01 * pitch, 0.02 * pitch, 0.0, 1.5)]
     for k in range(60):
-        cx, cy = rng.uniform(-1.4, 1.4, 2)
-        a, b = np.exp(rng.uniform(math.log(0.05 * pitch), math.log(1.2), 2))
+        cx, cy = middle + half * rng.uniform(-1.4, 1.4, 2)
+        a, b = np.exp(rng.uniform(math.log(0.05 * pitch), math.log(1.2 * half.max()), 2))
         rotation = (0.0, 90.0, -90.0, 180.0)[k % 4] if k % 3 else rng.uniform(-180.0, 180.0)
         ellipses.append(Ellipse(cx, cy, a, b, rotation, rng.normal()))
     return ellipses
 
 
-@pytest.mark.parametrize("size", [16, 181, 512])
+# Off-centre, non-square rasters, painted directly; a plain size is rasterized.
+OFF_CENTRE_RASTERS = [
+    pytest.param((181, 97, (-0.3, -1.1, 0.9, 0.2)), id="181x97"),
+    pytest.param((40, 512, (-2.0, -0.5, 0.1, 3.0)), id="40x512"),
+]
+
+
+@pytest.mark.parametrize("size", [16, 181, 512] + OFF_CENTRE_RASTERS)
 def test_rasterize_in_windows_is_the_whole_raster_test(size):
-    ellipses = random_ellipses(np.random.default_rng(size), size)
-    image = phantom.rasterize(EllipsePhantom(tuple(ellipses)), size)
+    if isinstance(size, int):
+        ellipses = random_ellipses(np.random.default_rng(size), phantom.square_raster(size))
+        image = phantom.rasterize(EllipsePhantom(tuple(ellipses)), size)
+    else:
+        rows, cols, extent = size
+        image = ImageGrid(rows, cols, np.zeros((rows, cols)), extent)
+        ellipses = random_ellipses(np.random.default_rng(rows * cols), image)
+        paint(image, ellipses)
     assert image.pixels.tobytes() == whole_raster_paint(ellipses, image).tobytes()
     xs, ys = image.axes()
     for e in ellipses:
@@ -601,6 +625,25 @@ def test_inner_region_mask_in_a_window_is_the_whole_raster_test(rows, cols, exte
     xs, ys = image.axes()
     expected = shrunk.contains(xs, ys[:, None])
     assert inner_region_mask(image).tobytes() == expected.tobytes()
+
+
+def all_true_mask_metrics(test, ref):
+    """(e_max, mse, psnr) as image_metrics took them over a full-size all-True mask."""
+    diff = np.abs(test.pixels - ref.pixels)[np.ones((ref.rows, ref.cols), dtype=bool)]
+    mse = float(np.mean(diff * diff))
+    peak = float(ref.pixels.max())
+    ratio = math.inf if mse == 0.0 else peak * peak / mse
+    return float(diff.max()), mse, -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+
+
+@pytest.mark.parametrize("size", [16, 181, 512])
+def test_whole_region_metrics_keep_the_all_true_mask_bits(size):
+    ref = shepp_logan(size)
+    noise = np.random.default_rng(size).normal(scale=0.05, size=(size, size))
+    test = ImageGrid(size, size, ref.pixels + noise)
+    report = image_metrics(test, ref, "whole")
+    got = np.array([report.e_max, report.mse, report.psnr])
+    assert got.tobytes() == np.array(all_true_mask_metrics(test, ref)).tobytes()
 
 
 def test_filter_returns_an_array_of_its_own():
@@ -640,7 +683,7 @@ def test_fbp_small_scale_recovers_disk():
     cfg = FbpConfig(size=64, dtheta_deg=3.0)
     recon = fbp_reconstruct(ph, cfg)
     truth = ImageGrid(64, 64, np.zeros((64, 64)))
-    gx, gy = truth.pixel_centers()
+    gx, gy = np.meshgrid(*truth.axes())
     ref = ImageGrid(64, 64, (gx * gx + gy * gy <= 0.25).astype(float))
     rep = image_metrics(recon, ref)
     assert rep.psnr > 18.0

@@ -456,6 +456,14 @@ def test_image_header_raster_rejected_with_offset(tmp_path, field, value, offset
         oqfio.read_image(path)
 
 
+@pytest.mark.parametrize("axis, offset", [("x", 32), ("y", 40)])
+def test_image_header_overflowing_width_rejected_with_offset(tmp_path, axis, offset):
+    path = tmp_path / "i.img"
+    write_raw_image(path, **{f"min_{axis}": -1e308, f"max_{axis}": 1e308})
+    with pytest.raises(oqfio.FormatError, match=f"offset {offset}: max_{axis}"):
+        oqfio.read_image(path)
+
+
 @pytest.mark.parametrize("kind, index, value", [
     ("image", 4, math.nan), ("sinogram", 5, math.inf),
 ])
@@ -479,6 +487,7 @@ def test_cli_non_finite_container_value_is_validation_error(tmp_path, capsys, ki
 
 @pytest.mark.parametrize("fields", [
     dict(rows=0, cols=0), dict(min_x=math.nan), dict(max_y=-2.0),
+    dict(min_x=-1e308, max_x=1e308),
 ])
 def test_cli_metrics_bad_image_header_is_validation_error(tmp_path, capsys, fields):
     bad, ok = tmp_path / "bad.img", tmp_path / "ok.img"

@@ -156,9 +156,8 @@ def test_minimality_under_constraint_preserving_perturbations():
 
 def test_discrete_operator_identities():
     report = oracle.discrete_operator_identities(0.1, 8)
-    for name, (ok, dev) in report.items():
-        assert ok, f"{name} deviates by {dev}"
-        assert dev <= 1e-14
+    for name, dev in report.items():
+        assert dev <= 1e-14, f"{name} deviates by {dev}"
 
 
 def test_discrete_operator_stencil_values():
