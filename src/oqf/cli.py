@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .ct import (
     shepp_logan_phantom,
 )
 from .ct.phantom import PHANTOM_VARIANTS
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, lattice
 from .quadrature import coefficient_matrix
 
 EXIT_OK = 0
@@ -88,13 +87,11 @@ def _resolve(args: argparse.Namespace, parameters: list) -> dict:
 
 def _lattice(params: dict, name: str) -> np.ndarray:
     """The increasing lattice that --NAME-min, --NAME-max and --NAME-count describe."""
-    lo, hi, count = (params[f"{name}_{key}"] for key in ("min", "max", "count"))
-    if count < 2:
-        raise ValueError(f"{name} lattice needs at least 2 points")
-    if not 0.0 < hi - lo < math.inf:
-        raise ValueError(f"--{name}-max must exceed --{name}-min by a finite amount, "
-                         f"got {lo!r} and {hi!r}")
-    return np.linspace(lo, hi, count)
+    keys = [f"{name}_{key}" for key in ("min", "max", "count")]
+    lo, hi, count = (params[key] for key in keys)
+    if not lo < hi:
+        raise ValueError(f"--{name}-max must exceed --{name}-min, got {lo!r} and {hi!r}")
+    return lattice(lo, hi, count, tuple(map(_flag, keys)))
 
 
 def _read_samples(path: str) -> SampledFunction:

@@ -42,14 +42,17 @@ class Ellipse:
         sqrt(a^2 cos^2 phi + b^2 sin^2 phi) in x and
         sqrt(a^2 sin^2 phi + b^2 cos^2 phi) in y, widened by 2**-40 of the
         coordinates' scale, far beyond the rounding of ``contains``, so
-        pixels outside the slices would add nothing to a raster.
+        pixels outside the slices would add nothing to a raster.  The
+        widening is at most the sum of the half-extents, so no centre many
+        semi-axes off the ellipse, whose offsets ``contains`` could not
+        square, enters the slices on a raster of huge extent.
         """
         phi = math.radians(self.rotation_deg)
         cos2, sin2 = math.cos(phi) ** 2, math.sin(phi) ** 2
         half_x = math.sqrt(self.semi_a**2 * cos2 + self.semi_b**2 * sin2)
         half_y = math.sqrt(self.semi_a**2 * sin2 + self.semi_b**2 * cos2)
-        slack = 2.0**-40 * (abs(self.center_x) + abs(self.center_y) + half_x + half_y
-                            + max(map(abs, image.extent)))
+        slack = min(2.0**-40 * (abs(self.center_x) + abs(self.center_y) + half_x + half_y
+                                + max(map(abs, image.extent))), half_x + half_y)
         xs, ys = image.axes()
         spans = []
         for centers, middle, half in ((ys, self.center_y, half_y), (xs, self.center_x, half_x)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,26 @@ def check_integer(name: str, value, low: int, high: int | None = None) -> None:
             or value < low or (high is not None and value > high)):
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"need an integer {name} {bounds}, got {name}={value!r}")
+
+
+# np.linspace(lo, hi, count) is finite, and warns of nothing, when |lo| + |hi|
+# is at most this: its step and each k * step + lo are then at most about that.
+LATTICE_BOUND = sys.float_info.max / 2
+
+
+def lattice(lo: float, hi: float, count, names: tuple[str, str, str]) -> np.ndarray:
+    """np.linspace(lo, hi, count), checked before it runs.
+
+    ValueError, naming the bounds and the count by ``names``, unless count
+    is an integer >= 2 and lo and hi are finite with |lo| + |hi| <=
+    LATTICE_BOUND.
+    """
+    lo_name, hi_name, count_name = names
+    check_integer(count_name, count, 2)
+    if not abs(lo) + abs(hi) <= LATTICE_BOUND:  # NaN fails too
+        raise ValueError(f"{lo_name} and {hi_name} must be finite with |{lo_name}| + "
+                         f"|{hi_name}| <= {LATTICE_BOUND:.6g}, got {lo!r} and {hi!r}")
+    return np.linspace(lo, hi, count)
 
 
 @dataclass(frozen=True)

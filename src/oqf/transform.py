@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid, check_integer
+from .grid import SampledFunction, UniformGrid, check_integer, lattice
 from .quadrature import apply_weights, monomial_fourier_integral
 
 
@@ -103,10 +103,8 @@ def error_sweep(
     omega_count: int,
 ) -> list[QuadratureErrorRecord]:
     """Quadrature errors on an equispaced frequency lattice (endpoints included)."""
-    check_integer("omega_count", omega_count, 2)
-    return _monomial_errors(
-        alpha, interval, n, np.linspace(omega_min, omega_max, omega_count)
-    )
+    omegas = lattice(omega_min, omega_max, omega_count, ("omega_min", "omega_max", "omega_count"))
+    return _monomial_errors(alpha, interval, n, omegas)
 
 
 def _monomial_errors(

@@ -40,12 +40,12 @@ def _worst(deviations) -> float:
 def check_coefficient_agreement(ns, omegas) -> list[CheckResult]:
     coeff, p0, moment = [], [], []
     moment_scale = np.maximum(np.abs(oracle.linear_moment(omegas)), 1.0)
-    for n in ns:
+    sol = oracle.solve_coefficient_system(ns, omegas)
+    for n, dense, multiplier, residual in zip(ns, sol.coefficients, sol.p0, sol.moment_residual):
         closed = quadrature.coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
-        sol = oracle.solve_coefficient_system(n, omegas)
-        coeff.append(np.max(np.abs(sol.coefficients - closed)))
-        p0.append(np.max(np.abs(sol.p0)))
-        moment.append(np.max(sol.moment_residual / moment_scale))
+        coeff.append(np.max(np.abs(dense - closed)))
+        p0.append(np.max(np.abs(multiplier)))
+        moment.append(np.max(residual / moment_scale))
     return [
         CheckResult("coefficients_closed_vs_dense", _worst(coeff), 1e-9),
         CheckResult("lagrange_multiplier_zero", _worst(p0), 1e-10),
@@ -58,10 +58,8 @@ def check_norm_agreement() -> list[CheckResult]:
     deviations = []
     for n in (4, 8, 16):
         weights = quadrature.coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
-        closed = quadrature.error_norm(omegas, 1.0 / n)
-        for om, c, norm_sq in zip(omegas, weights, closed):
-            brute = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
-            deviations.append(abs(brute - norm_sq))
+        brute = oracle.error_norm_bruteforce(weights.real, weights.imag, omegas, n)
+        deviations.append(np.abs(brute - quadrature.error_norm(omegas, 1.0 / n)))
     results = [CheckResult("norm_bruteforce_vs_closed", _worst(deviations), 1e-9)]
 
     trap = abs(quadrature.error_norm(0.0, 0.1) - 0.01 / 12.0) / (0.01 / 12.0)

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import lru_cache
 
@@ -861,6 +862,19 @@ def test_metrics_validation():
     assert image_metrics(off, off).psnr == math.inf
     with pytest.raises(ValueError, match="region 'inner' holds no pixel"):
         image_metrics(off, off, region="inner")
+
+
+def test_window_on_a_huge_extent_leaves_out_centres_contains_cannot_square():
+    # The one pixel centre lies at x = 3.4e184; a slack scaled by the extent
+    # alone would take it into the inner ellipse's window, and contains would
+    # overflow squaring its offset.
+    img = ImageGrid(1, 1, np.zeros((1, 1)), (-1e200, -1.0, 1e200 * (1 + 2**-50), 1.0))
+    inner = shepp_logan_phantom().ellipses[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inner.window(img) == (slice(0, 1), slice(0, 0))
+        with pytest.raises(ValueError, match="region 'inner' holds no pixel"):
+            image_metrics(img, img, "inner")
 
 
 def set_cpus(monkeypatch, cpus):

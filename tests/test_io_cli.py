@@ -1235,6 +1235,28 @@ def test_cli_output_lattice_must_increase(argv, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["error-sweep", "--omega-max", "inf"],
+    ["error-sweep", "--omega-min", "inf"],
+    ["ft", "--omega-min", "1e-300", "--omega-max", "1.7976931348623157e308",
+     "--omega-count", "16"],
+    ["ift", "--x-min", "1e-300", "--x-max", "1.7976931348623157e308", "--x-count", "16"],
+])
+def test_cli_lattice_bounds_np_linspace_cannot_take_are_refused(argv, tmp_path, capsys):
+    # Refused by the shared lattice rule before np.linspace runs, so the run
+    # warns of nothing.
+    out = tmp_path / "o.csv"
+    if argv[0] != "error-sweep":
+        (tmp_path / "in.csv").write_text(IFT_INPUT if argv[0] == "ift" else FT_INPUT)
+        argv = argv + ["--input", str(tmp_path / "in.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite with" in err
+    assert not out.exists()
+
+
 def test_cli_ft_overflowing_output_is_refused_before_a_file_exists(tmp_path):
     # apply_weights bounds the samples before any transform runs, so the run
     # raises no RuntimeWarning, with or without the error filter.

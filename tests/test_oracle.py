@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -88,6 +89,16 @@ def _complex_solve(n, omegas):
     return solution[: n + 1].T, solution[n + 1], float(np.linalg.cond(mat))
 
 
+@functools.cache
+def _grouped_solve():
+    """One grouped solve over n = 2..32 at verify.OMEGAS, and the worst
+    condition of the complex formulation over those grids."""
+    ns = range(2, 33)
+    omegas = np.array(verify.OMEGAS)
+    worst = max(_complex_solve(n, omegas)[2] for n in ns)
+    return oracle.solve_coefficient_system(ns, omegas), worst
+
+
 @pytest.mark.parametrize("n", range(2, 33))
 def test_real_solve_matches_complex_formulation(n):
     omegas = np.array(verify.OMEGAS)
@@ -99,6 +110,37 @@ def test_real_solve_matches_complex_formulation(n):
     assert np.abs(sol.p0 - p0).max() <= 1e-15
     assert sol.condition == pytest.approx(condition, rel=1e-12)
     assert sol.residual < 1e-10
+    # The same grid out of one grouped call, padded within its size class.
+    grouped, worst = _grouped_solve()
+    assert np.abs(grouped.coefficients[n - 2] - coefficients).max() <= 1e-13
+    assert np.abs(grouped.p0[n - 2] - p0).max() <= 1e-15
+    assert grouped.condition == pytest.approx(worst, rel=1e-12)
+    assert grouped.residual < 1e-10
+
+
+@pytest.mark.parametrize("omega", [np.array(verify.OMEGAS), 2.7])
+def test_grouped_solve_matches_solves_one_grid_at_a_time(omega):
+    ns = (1,) + verify.FULL_NS
+    grouped = oracle.solve_coefficient_system(ns, omega)
+    singles = [oracle.solve_coefficient_system(n, omega) for n in ns]
+    assert grouped.condition == pytest.approx(max(s.condition for s in singles), rel=1e-12)
+    assert grouped.residual <= 1e-10
+    for n, single, coefficients, p0, moment_residual in zip(
+            ns, singles, grouped.coefficients, grouped.p0, grouped.moment_residual):
+        assert np.shape(coefficients) == np.shape(single.coefficients) == np.shape(omega) + (n + 1,)
+        assert type(p0) is type(single.p0) and type(moment_residual) is type(single.moment_residual)
+        assert np.abs(coefficients - single.coefficients).max() <= 1e-13
+        assert np.abs(p0 - single.p0).max() <= 1e-15
+        assert np.abs(moment_residual - single.moment_residual).max() <= 1e-15
+
+
+def test_grid_sizes_must_be_positive_and_at_most_one_dimensional():
+    with pytest.raises(ValueError, match="n=0"):
+        oracle.solve_coefficient_system([4, 0], 1.0)
+    with pytest.raises(ValueError, match="at least one grid size"):
+        oracle.solve_coefficient_system([], 1.0)
+    with pytest.raises(ValueError, match="int or 1-d"):
+        oracle.solve_coefficient_system([[4]], 1.0)
 
 
 def test_singular_system_raises_solver_failure(monkeypatch):
@@ -110,6 +152,23 @@ def test_singular_system_raises_solver_failure(monkeypatch):
             oracle.solve_coefficient_system(8, np.array(verify.OMEGAS))
     condition = failure.value.condition
     assert not np.isfinite(condition) or condition > 1e12
+    # A grouped call fails on the first grid in n's order, and names it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.SolverFailure, match="n=3 is ill-conditioned") as failure:
+            oracle.solve_coefficient_system([3] + list(verify.FAST_NS), np.array(verify.OMEGAS))
+    condition = failure.value.condition
+    assert not np.isfinite(condition) or condition > 1e12
+
+
+def test_grouped_solver_failure_names_the_singular_grid(monkeypatch):
+    # Only the 9 x 9 Gram block, n = 8's, is zero; its class-mates are sound.
+    kernel = oracle._kernel
+    monkeypatch.setattr(oracle, "_kernel", lambda x: np.zeros_like(x) if len(x) == 9 else kernel(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.SolverFailure, match="n=8 is ill-conditioned"):
+            oracle.solve_coefficient_system(verify.FAST_NS, np.array(verify.OMEGAS))
 
 
 def test_bruteforce_norm_trapezoid():
@@ -126,6 +185,15 @@ def test_bruteforce_norm_matches_closed_form():
             c = coefficient_matrix(UniformGrid(0.0, 1.0, n), om)
             brute = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
             assert abs(brute - error_norm(om, 1.0 / n)) < 1e-9
+        # One call over the frequencies, with one row of weights each.
+        omegas = (0.3, 1.0, 2.7, 0.0)
+        rows = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
+        brute = oracle.error_norm_bruteforce(rows.real, rows.imag, omegas, n)
+        assert brute.shape == (len(omegas),)
+        for row, om, value in zip(rows, omegas, brute):
+            assert abs(value - oracle.error_norm_bruteforce(row.real, row.imag, om, n)) <= 1e-16
+        with pytest.raises(ValueError, match="shape"):
+            oracle.error_norm_bruteforce(rows.real, rows.imag, omegas[:3], n)
 
 
 def test_bruteforce_norm_length_mismatch():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,17 @@ def test_degrees_and_counts_take_numpy_integers():
                  lambda: error_sweep(2, (-1.0, 1.0), 10, -1.0, 1.0, 1)):
         with pytest.raises(ValueError, match="integer"):
             call()
+
+
+@pytest.mark.parametrize("omega_min, omega_max", [
+    (-1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308),
+    (1e-300, 1.7976931348623157e308),
+])
+def test_error_sweep_refuses_bounds_np_linspace_cannot_take(omega_min, omega_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega_min and omega_max must be finite"):
+            error_sweep(2, (-1.0, 1.0), 10, omega_min, omega_max, 16)
 
 
 def test_error_sweep_zero_frequency_row_exact():
