@@ -125,14 +125,13 @@ def cmd_ift(params: dict) -> int:
 
 
 def cmd_error_sweep(params: dict) -> int:
-    records = transform.error_sweep(
-        params["alpha"],
-        (params["a"], params["b"]),
-        params["n"],
-        params["omega_min"],
-        params["omega_max"],
-        params["omega_count"],
-    )
+    lo, hi, count = params["omega_min"], params["omega_max"], params["omega_count"]
+    if lo == hi:
+        raise ValueError(f"--omega-max must differ from --omega-min, got {lo!r} for both")
+    # The sweep's own lattice check, run first so that its errors name the flags.
+    lattice(lo, hi, count, ("--omega-min", "--omega-max", "--omega-count"))
+    records = transform.error_sweep(params["alpha"], (params["a"], params["b"]), params["n"],
+                                    lo, hi, count)
     oqfio.write_sweep_csv(params["out"], records)
     return EXIT_OK
 

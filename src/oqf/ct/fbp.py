@@ -164,7 +164,8 @@ def _square_orbits(theta0: float, dtheta: float, num_angles: int) -> list[list[t
     theta's at a rotated or mirrored pixel, so one index array serves every
     angle of an orbit.  Each orbit is a list of (angle index, frame), base
     angle first in frame 0; a partner joins when it lies on the lattice to
-    within a few ulps of the angles' scale and is not already taken.
+    within a few ulps of the angles' scale and is not already taken; one
+    whose index quotient overflows (a subnormal dtheta) lies on no lattice.
     """
     tol = 8 * np.finfo(float).eps * max(math.pi, abs(theta0) + dtheta * num_angles)
     taken = [False] * num_angles
@@ -176,7 +177,8 @@ def _square_orbits(theta0: float, dtheta: float, num_angles: int) -> list[list[t
         theta = theta0 + dtheta * k
         orbit = [(k, 0)]
         for frame, phi in enumerate((theta + math.pi / 2, math.pi - theta, math.pi / 2 - theta), 1):
-            j = round((phi - theta0) / dtheta)
+            j = (phi - theta0) / dtheta
+            j = round(j) if math.isfinite(j) else -1
             if 0 <= j < num_angles and not taken[j] and abs(theta0 + dtheta * j - phi) <= tol:
                 taken[j] = True
                 orbit.append((j, frame))
@@ -198,7 +200,14 @@ def backproject(q: FilteredSinogram, size: int) -> ImageGrid:
     summed in the base angle's frame and mapped back at the end: frame 2 per
     strip by a column flip, frames 1 and 3 through a second full-size
     accumulator that is flipped and transposed once.
+
+    A pixel sums num_angles values, each between two adjacent samples, then
+    takes the factor dtheta: ValueError where max|sample| num_angles
+    max(1, dtheta) passes 2**1022, so that neither step overflows.
     """
+    bound = float(max(q.data.max(), -q.data.min())) * q.num_angles * max(q.dtheta, 1.0)
+    if not bound <= 2.0**1022:  # also catches NaN
+        raise ValueError(f"max|sample| num_angles max(1, dtheta) = {bound:.6g} passes 2**1022")
     image = square_raster(size)
     n = q.num_bins
     # Slot k + 1 holds the segment from bin k to k + 1 in the shifted index

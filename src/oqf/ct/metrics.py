@@ -40,15 +40,18 @@ def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> Qua
     """E_max, MSE and PSNR of `test` against `ref` over the chosen region.
 
     PSNR uses the reference's maximum pixel value as peak: inf where the
-    images agree, -inf where they do not and peak**2 / MSE is 0.  region is
+    images agree, -inf where they do not and peak**2 / MSE is 0, and
+    20 log10|peak| - 10 log10 MSE where peak**2 / MSE overflows.  region is
     'whole' or 'inner' (inside the inner-skull ellipse).  ValueError unless
-    both rasters share size and extent and the region holds a pixel.
+    both rasters share size and extent, the region holds a pixel and the
+    MSE is finite.
     """
     rasters = [(img.rows, img.cols, tuple(img.extent)) for img in (test, ref)]
     if rasters[0] != rasters[1]:
         raise ValueError("image rasters differ in size or extent: "
                          + " vs ".join("{}x{} over {}".format(*r) for r in rasters))
-    diff = np.abs(test.pixels - ref.pixels)
+    with np.errstate(over="ignore"):  # an infinite difference is refused with the MSE
+        diff = np.abs(test.pixels - ref.pixels)
     if region == "whole":
         diff = diff.ravel()
     elif region == "inner":
@@ -59,8 +62,13 @@ def image_metrics(test: ImageGrid, ref: ImageGrid, region: str = "whole") -> Qua
     else:
         raise ValueError(f"unknown region {region!r}")
     e_max = float(diff.max())
-    mse = float(np.mean(diff * diff))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean(diff * diff))
+    if not math.isfinite(mse):
+        raise ValueError(f"E_max and MSE must be finite, got {e_max!r} and {mse!r}")
     peak = float(ref.pixels.max())
     ratio = math.inf if mse == 0.0 else peak * peak / mse
     psnr = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    if ratio == math.inf and mse > 0.0:  # peak**2 / MSE overflows, its logarithm does not
+        psnr = 20.0 * math.log10(abs(peak)) - 10.0 * math.log10(mse)
     return QualityReport(e_max=e_max, mse=mse, psnr=psnr, region=region)

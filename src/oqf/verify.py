@@ -58,7 +58,7 @@ def check_norm_agreement() -> list[CheckResult]:
     deviations = []
     for n in (4, 8, 16):
         weights = quadrature.coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
-        brute = oracle.error_norm_bruteforce(weights.real, weights.imag, omegas, n)
+        brute = oracle.error_norm_bruteforce(weights, omegas, n)
         deviations.append(np.abs(brute - quadrature.error_norm(omegas, 1.0 / n)))
     results = [CheckResult("norm_bruteforce_vs_closed", _worst(deviations), 1e-9)]
 

@@ -47,9 +47,9 @@ def test_acceptance_01_coefficient_oracle_equivalence():
     for n in range(2, 33):
         closed = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
         for om, row in zip(omegas, closed):
-            sol = oracle.solve_coefficient_system(n, om)
-            devs.append(np.abs(sol.coefficients - row).max())
-            p0s.append(abs(sol.p0))
+            sol = oracle.solve_coefficient_system([n], [om])
+            devs.append(np.abs(sol.coefficients[0][0] - row).max())
+            p0s.append(abs(sol.p0[0][0]))
     max_dev, max_p0 = float(np.max(devs)), float(np.max(p0s))
     elapsed = time.perf_counter() - start
     ok = max_dev < 1e-9 and max_p0 < 1e-10 and elapsed < 5.0
@@ -66,9 +66,9 @@ def test_acceptance_02_norm_cross_check():
     devs = []
     for n in (4, 8, 16):
         weights = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
-        for om, c, norm_sq in zip(omegas, weights, error_norm(omegas, 1.0 / n)):
-            brute = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
-            devs.append(abs(brute - norm_sq))
+        brute = oracle.error_norm_bruteforce(weights, omegas, n)
+        for value, norm_sq in zip(brute, error_norm(omegas, 1.0 / n)):
+            devs.append(abs(value - norm_sq))
     max_dev = float(np.max(devs))
     h = 0.125
     trap = abs(error_norm(0.0, h) - h * h / 12.0) / (h * h / 12.0)
@@ -271,17 +271,17 @@ def test_acceptance_10_property_suites(tmp_path):
         if not dev <= 1e-14:
             failures.append(f"operator identity {name} dev {dev:.2e}")
 
-    n, om = 10, 1.0
+    n, om = 10, [1.0]
     c = coefficient_matrix(UniformGrid(0.0, 1.0, n), om)
-    base = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
+    [base] = oracle.error_norm_bruteforce(c, om, n)
     for _ in range(20):
         dr = rng.normal(size=n + 1)
         di = rng.normal(size=n + 1)
         dr -= dr.mean()
         di -= di.mean()
         if oracle.error_norm_bruteforce(
-            c.real + 1e-3 * dr, c.imag + 1e-3 * di, om, n
-        ) < base:
+            c + 1e-3 * (dr + 1j * di), om, n
+        )[0] < base:
             failures.append("minimality violated")
             break
 

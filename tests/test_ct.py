@@ -647,6 +647,14 @@ def test_whole_region_metrics_keep_the_all_true_mask_bits(size):
     assert got.tobytes() == np.array(all_true_mask_metrics(test, ref)).tobytes()
 
 
+def test_backproject_refuses_samples_whose_sum_would_overflow():
+    # One angle at a step of 1e300: the pixel sum times dtheta passes the float range.
+    data = np.array([[1e300, 0.0]])
+    q = filter_projections(Sinogram(1, 2, 0.0, 1e300, -1.0, 0.25, data))
+    with pytest.raises(ValueError, match=r"passes 2\*\*1022"):
+        backproject(q, 16)
+
+
 def test_filter_returns_an_array_of_its_own():
     sino = radon_analytic(shepp_logan_phantom(), 30, 6.0, 101)
     data = filter_projections(sino).data

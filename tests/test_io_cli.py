@@ -905,6 +905,27 @@ def test_cli_error_sweep(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--omega-min", "1", "--omega-max", "1"], "--omega-max must differ from --omega-min"),
+    (["--omega-max", "inf"], "--omega-min and --omega-max must be finite"),
+    (["--omega-count", "1"], "--omega-count"),
+])
+def test_cli_error_sweep_names_its_flags_in_lattice_errors(tmp_path, capsys, bounds, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["error-sweep", "--alpha", "0", "--n", "20", *bounds, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "omega_m" not in err
+    assert not out.exists()
+
+
+def test_cli_error_sweep_descends(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["error-sweep", "--alpha", "0", "--n", "20", "--omega-min", "1",
+                 "--omega-max", "-1", "--omega-count", "5", "--out", str(out)]) == 0
+    omegas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert omegas == [1.0, 0.5, 0.0, -0.5, -1.0]
+
+
 def test_cli_phantom_and_metrics_flow(tmp_path, capsys):
     ref = tmp_path / "ref.img"
     assert main(["phantom", "--size", "64", "--out", str(ref)]) == 0
@@ -936,6 +957,33 @@ def test_cli_metrics_zero_reference_reports_minus_inf(tmp_path, capsys):
     assert main(["metrics", "--test", str(test), "--ref", str(zero)]) == 0
     captured = capsys.readouterr()
     assert "psnr=-inf\n" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("test_value, ref_value", [
+    (1.7976931348623157e308, -1.7976931348623157e308),  # the difference overflows
+    (1e300, 0.0),  # its square overflows
+])
+def test_cli_metrics_overflowing_error_is_validation_error(tmp_path, capsys, test_value,
+                                                           ref_value):
+    test, ref, out = tmp_path / "t.img", tmp_path / "r.img", tmp_path / "m.txt"
+    oqfio.write_image(test, ImageGrid(4, 4, np.full((4, 4), test_value)))
+    oqfio.write_image(ref, ImageGrid(4, 4, np.full((4, 4), ref_value)))
+    assert main(["metrics", "--test", str(test), "--ref", str(ref), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: E_max and MSE must be finite") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_metrics_psnr_whose_peak_squared_overflows_is_finite(tmp_path, capsys):
+    # peak**2 = 1e600 passes the float range, 20 log10(peak) - 10 log10(MSE) does not.
+    test, ref = tmp_path / "t.img", tmp_path / "r.img"
+    oqfio.write_image(test, ImageGrid(1, 2, np.array([[1e300, 1.0]])))
+    oqfio.write_image(ref, ImageGrid(1, 2, np.array([[1e300, 0.0]])))
+    assert main(["metrics", "--test", str(test), "--ref", str(ref)]) == 0
+    out = capsys.readouterr().out
+    assert "mse=0.5\n" in out
+    psnr = float(out.split("psnr=")[1])
+    assert psnr == pytest.approx(6000.0 + 10.0 * math.log10(2.0), rel=1e-14)
 
 
 def test_cli_radon_fbp_metrics_pipeline(tmp_path, capsys):
@@ -980,6 +1028,16 @@ def test_cli_fbp_nan_dt_sinogram_is_validation_error(tmp_path, capsys):
                  "--out", str(tmp_path / "r.img")]) == 3
     assert "offset 40: dt" in capsys.readouterr().err
     assert not (tmp_path / "r.img").exists()
+
+
+def test_cli_fbp_sinogram_with_a_subnormal_angle_step_reconstructs(tmp_path, capsys):
+    # Two angles 5e-324 apart: every partner angle's index quotient is infinite,
+    # so each angle is an orbit of its own.
+    sino, out = tmp_path / "s.sino", tmp_path / "r.img"
+    write_raw_sinogram(sino, dtheta=5e-324)
+    assert main(["fbp", "--sinogram", str(sino), "--size", "16", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(oqfio.read_image(out).pixels).all()
 
 
 @pytest.mark.parametrize("unused_step", [

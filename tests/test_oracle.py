@@ -13,50 +13,50 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_dense_solve_recovers_trapezoid_at_zero_frequency():
-    sol = oracle.solve_coefficient_system(10, 0.0)
+    sol = oracle.solve_coefficient_system([10], [0.0])
     expected = np.full(11, 0.1, dtype=complex)
     expected[0] = expected[-1] = 0.05
-    np.testing.assert_allclose(sol.coefficients, expected, atol=1e-12)
-    assert abs(sol.p0) < 1e-10
+    np.testing.assert_allclose(sol.coefficients[0][0], expected, atol=1e-12)
+    assert abs(sol.p0[0][0]) < 1e-10
 
 
 def test_lagrange_multiplier_vanishes():
     for n, om in [(8, 2.0), (5, 0.7), (32, 9.5)]:
-        sol = oracle.solve_coefficient_system(n, om)
-        assert abs(sol.p0) < 1e-10
+        sol = oracle.solve_coefficient_system([n], [om])
+        assert abs(sol.p0[0][0]) < 1e-10
         assert sol.residual < 1e-10
 
 
 def test_dense_solve_matches_closed_form():
-    for n in (2, 8, 17, 32):
-        for om in (0.1, 0.3, 1.0, 2.7, 5.0, 10.0):
-            sol = oracle.solve_coefficient_system(n, om)
-            closed = coefficient_matrix(UniformGrid(0.0, 1.0, n), om)
-            assert np.abs(sol.coefficients - closed).max() < 1e-10
+    ns, omegas = (2, 8, 17, 32), (0.1, 0.3, 1.0, 2.7, 5.0, 10.0)
+    sol = oracle.solve_coefficient_system(ns, omegas)
+    for n, coefficients in zip(ns, sol.coefficients):
+        closed = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
+        assert np.abs(coefficients - closed).max() < 1e-10
 
 
 def test_first_moment_identity():
     for n, om in [(8, 2.0), (16, 0.3), (4, 5.0), (12, 0.0)]:
-        sol = oracle.solve_coefficient_system(n, om)
-        assert sol.moment_residual < 1e-10
+        sol = oracle.solve_coefficient_system([n], [om])
+        assert sol.moment_residual[0][0] < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 32])
 def test_frequency_array_rows_match_scalar_solves(n):
+    # Each row of a many-frequency solve against a solve of its frequency alone.
     omegas = np.array([0.1, 0.3, 1.0, 2.7, 5.0, 10.0, -3.3])
-    batch = oracle.solve_coefficient_system(n, omegas)
-    assert batch.coefficients.shape == (len(omegas), n + 1)
-    assert batch.p0.shape == batch.moment_residual.shape == (len(omegas),)
+    batch = oracle.solve_coefficient_system([n], omegas)
+    assert batch.coefficients[0].shape == (len(omegas), n + 1)
+    assert batch.p0[0].shape == batch.moment_residual[0].shape == (len(omegas),)
     assert batch.residual < 1e-10
     for k, om in enumerate(omegas):
-        single = oracle.solve_coefficient_system(n, om)
-        assert single.coefficients.shape == (n + 1,)
-        assert isinstance(single.p0, complex) and isinstance(single.moment_residual, float)
-        assert np.abs(batch.coefficients[k] - single.coefficients).max() <= 1e-15
-        assert abs(batch.p0[k] - single.p0) <= 1e-15
-        assert abs(batch.moment_residual[k] - single.moment_residual) <= 1e-15
+        single = oracle.solve_coefficient_system([n], [om])
+        assert single.coefficients[0].shape == (1, n + 1)
+        assert np.abs(batch.coefficients[0][k] - single.coefficients[0][0]).max() <= 1e-15
+        assert abs(batch.p0[0][k] - single.p0[0][0]) <= 1e-15
+        assert abs(batch.moment_residual[0][k] - single.moment_residual[0][0]) <= 1e-15
         assert single.condition == batch.condition
-        assert abs(oracle.linear_moment(omegas)[k] - oracle.linear_moment(om)) <= 1e-15
+        assert abs(oracle.linear_moment(omegas)[k] - oracle.linear_moment([om])[0]) <= 1e-15
 
 
 def test_frequency_array_with_zero_gives_trapezoid_row_without_warning():
@@ -65,17 +65,22 @@ def test_frequency_array_with_zero_gives_trapezoid_row_without_warning():
     expected[0] = expected[-1] = 0.5 / n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = oracle.solve_coefficient_system(n, np.array([1.3, 0.0, -2.0]))
+        sol = oracle.solve_coefficient_system([n], np.array([1.3, 0.0, -2.0]))
         moments = oracle.linear_moment(np.array([0.0, 1.3]))
-        brute = oracle.error_norm_bruteforce(expected, np.zeros(n + 1), 0.0, n)
-    np.testing.assert_allclose(sol.coefficients[1], expected, atol=1e-12)
+        [brute] = oracle.error_norm_bruteforce(expected[None] + 0j, [0.0], n)
+    np.testing.assert_allclose(sol.coefficients[0][1], expected, atol=1e-12)
     assert moments[0] == 0.5
     assert brute == pytest.approx(1.0 / (12.0 * n * n), rel=1e-9)
 
 
 def test_frequency_array_must_be_one_dimensional():
-    with pytest.raises(ValueError, match="scalar or 1-d"):
-        oracle.solve_coefficient_system(4, np.zeros((2, 2)))
+    for omegas in (np.zeros((2, 2)), 1.0):  # a scalar frequency too
+        with pytest.raises(ValueError, match="frequencies must be 1-d"):
+            oracle.solve_coefficient_system([4], omegas)
+        with pytest.raises(ValueError, match="frequencies must be 1-d"):
+            oracle.linear_moment(omegas)
+        with pytest.raises(ValueError, match="frequencies must be 1-d"):
+            oracle.error_norm_bruteforce(np.zeros((1, 5), dtype=complex), omegas, 4)
 
 
 def _complex_solve(n, omegas):
@@ -102,12 +107,12 @@ def _grouped_solve():
 @pytest.mark.parametrize("n", range(2, 33))
 def test_real_solve_matches_complex_formulation(n):
     omegas = np.array(verify.OMEGAS)
-    sol = oracle.solve_coefficient_system(n, omegas)
+    sol = oracle.solve_coefficient_system([n], omegas)
     coefficients, p0, condition = _complex_solve(n, omegas)
     # Two backward-stable solves agree to about condition * eps of the weights:
     # at most 3.5e-14 (at n = 29), the condition being at most about 1200.
-    assert np.abs(sol.coefficients - coefficients).max() <= 1e-13
-    assert np.abs(sol.p0 - p0).max() <= 1e-15
+    assert np.abs(sol.coefficients[0] - coefficients).max() <= 1e-13
+    assert np.abs(sol.p0[0] - p0).max() <= 1e-15
     assert sol.condition == pytest.approx(condition, rel=1e-12)
     assert sol.residual < 1e-10
     # The same grid out of one grouped call, padded within its size class.
@@ -121,26 +126,28 @@ def test_real_solve_matches_complex_formulation(n):
 @pytest.mark.parametrize("omega", [np.array(verify.OMEGAS), 2.7])
 def test_grouped_solve_matches_solves_one_grid_at_a_time(omega):
     ns = (1,) + verify.FULL_NS
-    grouped = oracle.solve_coefficient_system(ns, omega)
-    singles = [oracle.solve_coefficient_system(n, omega) for n in ns]
+    omegas = np.atleast_1d(omega)
+    grouped = oracle.solve_coefficient_system(ns, omegas)
+    singles = [oracle.solve_coefficient_system([n], omegas) for n in ns]
     assert grouped.condition == pytest.approx(max(s.condition for s in singles), rel=1e-12)
     assert grouped.residual <= 1e-10
     for n, single, coefficients, p0, moment_residual in zip(
             ns, singles, grouped.coefficients, grouped.p0, grouped.moment_residual):
-        assert np.shape(coefficients) == np.shape(single.coefficients) == np.shape(omega) + (n + 1,)
-        assert type(p0) is type(single.p0) and type(moment_residual) is type(single.moment_residual)
-        assert np.abs(coefficients - single.coefficients).max() <= 1e-13
-        assert np.abs(p0 - single.p0).max() <= 1e-15
-        assert np.abs(moment_residual - single.moment_residual).max() <= 1e-15
+        assert coefficients.shape == single.coefficients[0].shape == (omegas.size, n + 1)
+        assert p0.shape == moment_residual.shape == (omegas.size,)
+        assert np.abs(coefficients - single.coefficients[0]).max() <= 1e-13
+        assert np.abs(p0 - single.p0[0]).max() <= 1e-15
+        assert np.abs(moment_residual - single.moment_residual[0]).max() <= 1e-15
 
 
 def test_grid_sizes_must_be_positive_and_at_most_one_dimensional():
     with pytest.raises(ValueError, match="n=0"):
-        oracle.solve_coefficient_system([4, 0], 1.0)
-    with pytest.raises(ValueError, match="at least one grid size"):
-        oracle.solve_coefficient_system([], 1.0)
-    with pytest.raises(ValueError, match="int or 1-d"):
-        oracle.solve_coefficient_system([[4]], 1.0)
+        oracle.solve_coefficient_system([4, 0], [1.0])
+    # A bare int, a float or a bool is no grid size.
+    for ns, match in [([], "non-empty 1-d"), ([[4]], "non-empty 1-d"), (4, "non-empty 1-d"),
+                      ([4.0], "n=4.0"), ([4, True], "n=True"), (np.array([4.0]), "integers")]:
+        with pytest.raises(ValueError, match=match):
+            oracle.solve_coefficient_system(ns, [1.0])
 
 
 def test_singular_system_raises_solver_failure(monkeypatch):
@@ -149,7 +156,7 @@ def test_singular_system_raises_solver_failure(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(oracle.SolverFailure, match="ill-conditioned") as failure:
-            oracle.solve_coefficient_system(8, np.array(verify.OMEGAS))
+            oracle.solve_coefficient_system([8], np.array(verify.OMEGAS))
     condition = failure.value.condition
     assert not np.isfinite(condition) or condition > 1e12
     # A grouped call fails on the first grid in n's order, and names it.
@@ -173,32 +180,36 @@ def test_grouped_solver_failure_names_the_singular_grid(monkeypatch):
 
 def test_bruteforce_norm_trapezoid():
     for n in (4, 10, 16):
-        w = np.full(n + 1, 1.0 / n)
-        w[0] = w[-1] = 0.5 / n
-        value = oracle.error_norm_bruteforce(w, np.zeros(n + 1), 0.0, n)
+        w = np.full((1, n + 1), 1.0 / n, dtype=complex)
+        w[0, 0] = w[0, -1] = 0.5 / n
+        [value] = oracle.error_norm_bruteforce(w, [0.0], n)
         assert value == pytest.approx(1.0 / (12.0 * n * n), rel=1e-9)
 
 
 def test_bruteforce_norm_matches_closed_form():
     for n in (4, 8, 16):
         for om in (0.3, 1.0, 2.7):
-            c = coefficient_matrix(UniformGrid(0.0, 1.0, n), om)
-            brute = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
+            c = coefficient_matrix(UniformGrid(0.0, 1.0, n), [om])
+            [brute] = oracle.error_norm_bruteforce(c, [om], n)
             assert abs(brute - error_norm(om, 1.0 / n)) < 1e-9
         # One call over the frequencies, with one row of weights each.
         omegas = (0.3, 1.0, 2.7, 0.0)
         rows = coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
-        brute = oracle.error_norm_bruteforce(rows.real, rows.imag, omegas, n)
+        brute = oracle.error_norm_bruteforce(rows, omegas, n)
         assert brute.shape == (len(omegas),)
         for row, om, value in zip(rows, omegas, brute):
-            assert abs(value - oracle.error_norm_bruteforce(row.real, row.imag, om, n)) <= 1e-16
+            assert abs(value - oracle.error_norm_bruteforce(row[None], [om], n)[0]) <= 1e-16
         with pytest.raises(ValueError, match="shape"):
-            oracle.error_norm_bruteforce(rows.real, rows.imag, omegas[:3], n)
+            oracle.error_norm_bruteforce(rows, omegas[:3], n)
 
 
 def test_bruteforce_norm_length_mismatch():
-    with pytest.raises(ValueError):
-        oracle.error_norm_bruteforce(np.zeros(5), np.zeros(4), 1.0, 4)
+    with pytest.raises(ValueError, match="shape"):
+        oracle.error_norm_bruteforce(np.zeros((1, 4), dtype=complex), [1.0], 4)
+    # The weights come as complex rows, not as their real and imaginary parts.
+    rows = coefficient_matrix(UniformGrid(0.0, 1.0, 4), [1.0])
+    with pytest.raises(ValueError, match="complex"):
+        oracle.error_norm_bruteforce(rows.real, [1.0], 4)
 
 
 def test_minimality_under_constraint_preserving_perturbations():
@@ -208,9 +219,9 @@ def test_minimality_under_constraint_preserving_perturbations():
     # break the constraint leave the form's feasible region and can lower
     # its value without meaning anything.)
     rng = np.random.default_rng(42)
-    n, om = 10, 1.0
+    n, om = 10, [1.0]
     c = coefficient_matrix(UniformGrid(0.0, 1.0, n), om)
-    base = oracle.error_norm_bruteforce(c.real, c.imag, om, n)
+    [base] = oracle.error_norm_bruteforce(c, om, n)
     for _ in range(50):
         dr = rng.normal(size=n + 1)
         di = rng.normal(size=n + 1)
@@ -218,7 +229,7 @@ def test_minimality_under_constraint_preserving_perturbations():
         di -= di.mean()
         dr *= 1e-2 / np.linalg.norm(dr)
         di *= 1e-2 / np.linalg.norm(di)
-        perturbed = oracle.error_norm_bruteforce(c.real + dr, c.imag + di, om, n)
+        [perturbed] = oracle.error_norm_bruteforce(c + (dr + 1j * di), om, n)
         assert perturbed >= base
 
 
