@@ -20,6 +20,7 @@ import contextlib
 import contextvars
 import errno
 import itertools
+import math
 import os
 import struct
 from pathlib import Path
@@ -176,7 +177,8 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (abscissae, complex values).  Raises FormatError naming the
     file line of the first offending row on non-uniform spacing, non-finite
-    numbers or malformed content.  The input, a file or a pipe alike, is
+    numbers or malformed content, and the file on abscissae whose span
+    passes the largest float.  The input, a file or a pipe alike, is
     read once, a block of _CSV_BLOCK_ROWS lines at a time: each block's
     lines are held while np.loadtxt parses them, a bad row is named from
     them, and the block's rows are appended to the result's arrays, which
@@ -213,17 +215,25 @@ def read_complex_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             first += len(lines)
     if rows < 2:
         raise FormatError(f"{path}: need at least 2 data rows, got {rows}")
-    step = (xs[-1] - xs[0]) / (rows - 1)
-    if step <= 0:
+    span = float(xs[-1]) - float(xs[0])  # a Python float: its overflow is a quiet inf
+    if not span > 0:
         raise FormatError(f"{path}: abscissae must be increasing")
+    if span == math.inf:
+        raise FormatError(f"{path}: abscissae {float(xs[0])!r} to {float(xs[-1])!r} "
+                          "span more than the largest float")
+    step = span / (rows - 1)
     # |xs - (xs[0] + step k)| a block of rows at a time, so no temporary is
-    # as long as the table
-    tol = UNIFORM_RTOL * max(abs(step), xs.max(), -xs.min())
+    # as long as the table.  Past 2**1021 every term is taken at a quarter of
+    # its size, where none can overflow and the scaling loses no bit that the
+    # tolerance could see; below, the scale is 1, which changes no bit.
+    top = max(xs.max(), -xs.min())
+    scale = 0.25 if top > 2.0**1021 else 1.0
+    tol = UNIFORM_RTOL * max(abs(step), top) * scale
     for start in range(0, rows, _CSV_BLOCK_ROWS):
         dev = np.arange(start, min(start + _CSV_BLOCK_ROWS, rows), dtype=float)
-        dev *= step
-        dev += xs[0]
-        dev -= xs[start : start + _CSV_BLOCK_ROWS]
+        dev *= step * scale
+        dev += xs[0] * scale
+        dev -= scale * xs[start : start + _CSV_BLOCK_ROWS]
         bad = np.nonzero(np.abs(dev, out=dev) > tol)[0]
         if bad.size:
             index = start + bad[0]

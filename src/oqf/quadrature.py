@@ -5,7 +5,10 @@ seminorm (L2 norm of the first derivative) with nodes fixed.  The kernel is
 e^{2 pi i omega x} with omega in cycles per unit.  Everything here is a pure
 function of its arguments.  The closed forms (coefficient_matrix, error_norm,
 monomial_fourier_integral) take frequencies one way: a scalar gives the
-result for that frequency, a 1-d array one result per entry.
+result for that frequency, a 1-d array one result per entry.  The weights
+of any number of grids come from one kernel, _coefficient_matrices, of
+which coefficient_matrix is the one-grid case; a caller with many small
+grids, such as oqf.verify, makes one call for all of them.
 """
 
 from __future__ import annotations
@@ -166,19 +169,38 @@ def coefficient_matrix(grid: UniformGrid, omegas) -> np.ndarray:
 
     A scalar frequency gives the (n+1,) weights; 1-d frequencies give an
     array of shape (len(omegas), n+1) whose row k holds the weights for
-    omegas[k].
+    omegas[k].  It is the one-grid case of _coefficient_matrices.
     """
-    scalar = np.ndim(omegas) == 0
-    h = grid.h
-    omegas = _frequencies(omegas, h)
-    theta = TWO_PI * omegas * h
+    [weights] = _coefficient_matrices([grid], omegas)
+    return weights[0] if np.ndim(omegas) == 0 else weights
+
+
+def _coefficient_matrices(grids, omegas) -> tuple[np.ndarray, ...]:
+    """coefficient_matrix(grid, omegas) for each of the grids, an (M, n+1)
+    array per grid for M 1-d frequencies, in one pass.
+
+    theta = 2 pi omega h of every (grid, frequency) pair takes one _by_theta
+    call, and the nodes of every grid one _node_turns and one exp, so a grid
+    adds only its in-place scaling and end weights.  The frequencies are
+    checked once, at the largest step, whose limit is the lowest.  The arrays
+    are column blocks of one (M, sum(n+1)) array.
+    """
+    steps = [grid.h for grid in grids]
+    omegas = _frequencies(omegas, max(steps))  # a Python float's 2 pi h overflows quietly
+    hs = np.array(steps)
+    theta = TWO_PI * omegas * hs[:, None]
 
     # Every node takes h I(theta) e^{2 pi i omega x}; then the end nodes take theirs.
     interior, left = _by_theta(theta, [_INTERIOR, _LEFT])
-    phases = np.exp(1j * math.pi * _node_turns(grid.nodes(), omegas))
-    weights = (h * interior)[:, None] * phases
-    weights[:, 0], weights[:, -1] = _end_weights(h, left, phases)
-    return weights[0] if scalar else weights
+    nodes = np.concatenate([grid.nodes() for grid in grids])
+    weights = 1j * math.pi * _node_turns(nodes, omegas)
+    np.exp(weights, out=weights)
+    blocks = np.split(weights, np.cumsum([grid.n + 1 for grid in grids])[:-1], axis=1)
+    for h, scale, ends, block in zip(hs, hs[:, None] * interior, left, blocks):
+        first, last = _end_weights(h, ends, block)
+        block *= scale[:, None]
+        block[:, 0], block[:, -1] = first, last
+    return tuple(blocks)
 
 
 def apply_weights(grid: UniformGrid, omegas, values) -> np.ndarray:
@@ -279,7 +301,8 @@ def _half_turns(rate, x) -> np.ndarray:
         x_hi, x_lo = x_hi * scale, x_lo * scale
     rate_hi, rate_lo = _split(rate)
     err = ((rate_hi * x_hi - prod) + rate_hi * x_lo + rate_lo * x_hi) + rate_lo * x_lo
-    return _mod2(_mod2(prod) + err)
+    err += _mod2(prod)  # in place: one temporary fewer alive in the last reduction
+    return _mod2(err)
 
 
 def _mod2(v):

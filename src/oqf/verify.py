@@ -37,12 +37,23 @@ def _worst(deviations) -> float:
     return float(np.max(deviations))
 
 
+def _unit_interval_weights(ns, omegas) -> tuple[np.ndarray, ...]:
+    """The closed-form weights on [0, 1] for every grid size in ns, in one pass."""
+    return quadrature._coefficient_matrices([UniformGrid(0.0, 1.0, n) for n in ns], omegas)
+
+
 def check_coefficient_agreement(ns, omegas) -> list[CheckResult]:
+    """The closed-form weights against the dense solve on [0, 1] for each
+    grid size in ns and the 1-d omegas, with the solve's Lagrange multiplier
+    and first-moment residual.  Each side takes one call for all the grids:
+    the oracle one grouped solve, the closed form one _coefficient_matrices
+    pass, whose weights are coefficient_matrix's bit for bit.
+    """
     coeff, p0, moment = [], [], []
     moment_scale = np.maximum(np.abs(oracle.linear_moment(omegas)), 1.0)
     sol = oracle.solve_coefficient_system(ns, omegas)
-    for n, dense, multiplier, residual in zip(ns, sol.coefficients, sol.p0, sol.moment_residual):
-        closed = quadrature.coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
+    for closed, dense, multiplier, residual in zip(_unit_interval_weights(ns, omegas),
+                                                   sol.coefficients, sol.p0, sol.moment_residual):
         coeff.append(np.max(np.abs(dense - closed)))
         p0.append(np.max(np.abs(multiplier)))
         moment.append(np.max(residual / moment_scale))
@@ -56,8 +67,8 @@ def check_coefficient_agreement(ns, omegas) -> list[CheckResult]:
 def check_norm_agreement() -> list[CheckResult]:
     omegas = (0.3, 1.0, 2.7)
     deviations = []
-    for n in (4, 8, 16):
-        weights = quadrature.coefficient_matrix(UniformGrid(0.0, 1.0, n), omegas)
+    ns = (4, 8, 16)
+    for n, weights in zip(ns, _unit_interval_weights(ns, omegas)):
         brute = oracle.error_norm_bruteforce(weights, omegas, n)
         deviations.append(np.abs(brute - quadrature.error_norm(omegas, 1.0 / n)))
     results = [CheckResult("norm_bruteforce_vs_closed", _worst(deviations), 1e-9)]

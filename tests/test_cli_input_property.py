@@ -1,9 +1,11 @@
-"""Crafted containers and the numeric flags of the CT and coefficient commands.
+"""Crafted input files and the numeric flags of the CT and coefficient commands.
 
 Image and sinogram containers with extreme header fields and data go through
-``metrics`` and ``fbp --sinogram``; extreme values of the numeric flags go
-through ``coeffs``, ``phantom``, ``radon`` and ``fbp``.  Sizes stay at most 64
-and angle steps at least 1 degree, so that no draw allocates much.  Every run
+``metrics`` and ``fbp --sinogram``, and sample CSVs with extreme abscissae and
+values through ``ft`` and ``ift``; extreme values of the numeric flags go
+through ``coeffs``, ``phantom``, ``radon`` and ``fbp``.  Sizes stay at most 64,
+CSVs at most 8 rows, lattices at most 300 entries and angle steps at least 1
+degree, so that no draw allocates much.  Every run
 exits 0, 3 or 4 with no warning and no exception; an exit-0 output holds only
 finite numbers (a PSNR may be +-inf, as documented, but not NaN), and a failed
 run leaves no output file.
@@ -23,6 +25,7 @@ from oqf.cli import main
 EXTREMES = [0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300,
             1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
 FLOATS = st.sampled_from(EXTREMES) | st.floats(-1e3, 1e3)
+FINITE = st.sampled_from([x for x in EXTREMES if math.isfinite(x)]) | st.floats(-1e3, 1e3)
 # Angle steps of at least 1 degree, or ones no scan can take.
 STEPS = st.floats(1.0, 400.0) | st.sampled_from([0.0, -1.0, 1e300, math.inf, -math.inf, math.nan])
 
@@ -113,3 +116,44 @@ def test_numeric_flags_exit_cleanly(tmp_path_factory, command, a, b, omega, n, s
         assert np.isfinite(oqfio.read_sinogram(out).data).all()
     else:
         assert np.isfinite(oqfio.read_image(out).pixels).all()
+
+
+@st.composite
+def sample_csvs(draw):
+    """A <x>,re,im CSV of 2-8 rows, whose abscissae step from one drawn finite
+    bound to another (the step taken as hi/(rows-1) - lo/(rows-1), which is
+    finite where hi - lo overflows) and whose values are ordinary floats; up
+    to one abscissa and two values are then set to extremes."""
+    rows = draw(st.integers(2, 8))
+    lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    step = hi / (rows - 1) - lo / (rows - 1)
+    xs = [lo + k * step for k in range(rows)]
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * rows, max_size=2 * rows))
+    for _ in range(draw(st.integers(0, 1))):
+        xs[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(EXTREMES))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, 2 * rows - 1))] = draw(st.sampled_from(EXTREMES))
+    lines = [f"{x!r},{re!r},{im!r}" for x, re, im in zip(xs, values[0::2], values[1::2])]
+    return "x,re,im\n" + "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(["ft", "ift"]), text=sample_csvs(),
+       bounds=st.lists(FLOATS, min_size=2, max_size=2, unique=True),
+       count=st.integers(2, 300) | st.sampled_from([-1, 0, 1]), omega=st.none() | FLOATS)
+def test_crafted_sample_csvs_through_ft_and_ift_exit_cleanly(tmp_path_factory, command, text,
+                                                             bounds, count, omega):
+    # The output lattice's bounds are drawn in increasing order (NaN last);
+    # test_cli_lattice_property.py fuzzes the lattice flags themselves.
+    workdir = tmp_path_factory.mktemp("run")
+    samples, out = workdir / "in.csv", workdir / "out.csv"
+    samples.write_text(text)
+    argv = [command, "--input", samples, "--out", out]
+    name = "x" if command == "ift" else "omega"
+    if command == "ft" and omega is not None:
+        argv += [f"--omega={omega!r}"]
+    else:
+        lo, hi = sorted(bounds, key=lambda v: (math.isnan(v), v))
+        argv += [f"--{name}-min={lo!r}", f"--{name}-max={hi!r}", f"--{name}-count={count}"]
+    if _run(argv, [out]) == 0:
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()

@@ -894,6 +894,50 @@ def test_cli_ft_ift_round_trip(tmp_path):
     np.testing.assert_allclose(recon.real, vals, atol=5e-3)
 
 
+_FT_IFT_FLAGS = {"ft": ["--omega", "0"], "ift": ["--x-min", "0", "--x-max", "1", "--x-count", "3"]}
+
+
+@pytest.mark.parametrize("command", ["ft", "ift"])
+def test_cli_ft_ift_input_whose_abscissae_span_overflows_is_validation_error(tmp_path, capsys,
+                                                                              command):
+    # Finite abscissae whose span passes the largest float used to warn of an
+    # overflowing subtraction and an invalid multiply, then exit 3 from the grid.
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    inp.write_text("x,re,im\n-1e308,1,0\n0,1,0\n1e308,1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--input", str(inp), "--out", str(out), *_FT_IFT_FLAGS[command]]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {inp}: abscissae -1e+308 to 1e+308 span more than the largest float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("ft", 0), ("ift", 3)])
+def test_cli_ft_ift_input_reaching_the_largest_float_is_checked_without_overflow(
+        tmp_path, capsys, command, code):
+    # On [0, max float] the lattice line's last entry, 3 * (max / 3), rounds
+    # past the largest float; the check runs at a quarter scale there.  The
+    # uniform lattice is read, and a row off it is named.  At its step only
+    # omega = 0 is within the frequency limit, so ft transforms it, and ift,
+    # whose x lattice holds a non-zero entry, refuses it at that limit.
+    top = 1.7976931348623157e308
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    lattice = (0.0, top / 3, 2 * (top / 3), top)
+    inp.write_text("x,re,im\n" + "".join(f"{x!r},0,0\n" for x in lattice))
+    argv = [command, "--input", str(inp), "--out", str(out), *_FT_IFT_FLAGS[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+        if code == 0:
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
+            out.unlink()
+        off = (0.0, 0.3333333333333333, 0.6666666666666666, top)
+        inp.write_text("x,re,im\n" + "".join(f"{x!r},0,0\n" for x in off))
+        assert main(argv) == 3
+    assert "row 3: abscissa 0.3333333333333333 off the uniform lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_error_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["error-sweep", "--alpha", "0", "--n", "20",
@@ -1241,10 +1285,17 @@ def test_cli_verify_fast(capsys):
     ],
 )
 def test_cli_verify_fails_on_nan_closed_forms(monkeypatch, capsys, name, level, failing):
-    closed_form = getattr(quadrature, name)
-    monkeypatch.setattr(
-        quadrature, name, lambda *args: np.full_like(closed_form(*args), np.nan)
-    )
+    # coefficient_matrix is the one-grid case of _coefficient_matrices, which
+    # the checks call for all their grids at once, so its NaNs are made there.
+    target = "_coefficient_matrices" if name == "coefficient_matrix" else name
+    closed_form = getattr(quadrature, target)
+
+    def nan_like(result):
+        if isinstance(result, tuple):
+            return tuple(map(nan_like, result))
+        return np.full_like(result, np.nan)
+
+    monkeypatch.setattr(quadrature, target, lambda *args: nan_like(closed_form(*args)))
     assert main(["verify", "--level", level]) == 5
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(last) == {"failed_checks": failing}

@@ -380,6 +380,80 @@ def test_coefficient_matrix_rows_match_single_calls():
         np.testing.assert_array_equal(row, single)
 
 
+def _grid_sets(seed, count):
+    """``count`` seeded sets of 1-6 grids, n = 1..64 on intervals of widths
+    1e-3..1e3, each with frequencies that hold 0 and both signs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        grids = []
+        for _ in range(rng.integers(1, 7)):
+            a = rng.normal() * 10.0 ** rng.uniform(-2, 2)
+            grids.append(UniformGrid(a, a + 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 65))))
+        omegas = rng.normal(size=rng.integers(1, 8)) * 10.0 ** rng.uniform(-3, 2)
+        yield grids, np.append(omegas / max(g.h for g in grids), [0.0, -1.0])
+
+
+def test_coefficient_matrices_equal_one_grid_calls_bit_for_bit():
+    # One pass over a set of grids gives each grid coefficient_matrix's bits.
+    # The last set's theta = 2 pi omega h straddles SMALL_THETA on every grid.
+    grid = UniformGrid(-0.4, 2.2, 13)
+    ratios = np.array([-40.0, -2.0, -1.0, -0.999, 0.0, 1.0, 3.0, 40.0])
+    straddle = ([grid, UniformGrid(0.0, 1.0, 64), UniformGrid(3.0, 3.5, 1)],
+                SMALL_THETA / (TWO_PI * grid.h) * ratios)
+    for grids, omegas in [*_grid_sets(11, 200), straddle]:
+        blocks = quadrature._coefficient_matrices(grids, omegas)
+        assert len(blocks) == len(grids)
+        for grid, block in zip(grids, blocks):
+            _same_bits(block, coefficient_matrix(grid, omegas))
+    for grid in straddle[0]:
+        small = np.abs(TWO_PI * straddle[1] * grid.h) < SMALL_THETA
+        assert small.any() and not small.all()
+
+
+def test_coefficient_matrices_refuse_a_frequency_as_its_grid_alone():
+    # The limit |2 pi omega max(h, 1)| <= 2**511 is lowest at the largest
+    # step; a frequency past it raises what that grid alone raises.
+    wide = UniformGrid(0.0, 1000.0, 4)  # h = 250
+    grids = [UniformGrid(0.0, 1.0, 8), wide, UniformGrid(-3.0, 3.0, 2)]
+    omega = 2.0**511 / (TWO_PI * 250.0) * 1.0000001  # within the other grids' limits
+    coefficient_matrix(grids[2], omega)
+    with pytest.raises(ValueError) as alone:
+        coefficient_matrix(wide, [0.0, omega])
+    with pytest.raises(ValueError) as together:
+        quadrature._coefficient_matrices(grids, [0.0, omega])
+    assert str(together.value) == str(alone.value)
+    assert "at h = 250" in str(alone.value)
+
+
+def test_coefficient_matrices_at_a_step_whose_frequency_limit_is_zero():
+    # At h = max float / 3, 2 pi h overflows (quietly, in Python floats) and
+    # the limit is 0, so omega = 0 alone passes, with no warning.
+    grids = [UniformGrid(0.0, 1.0, 4), UniformGrid(0.0, 1.7976931348623157e308, 3)]
+    for grid, block in zip(grids, quadrature._coefficient_matrices(grids, [0.0])):
+        _same_bits(block, coefficient_matrix(grid, [0.0]))
+    with pytest.raises(ValueError, match=r"\|omega\| <= 0 "):
+        quadrature._coefficient_matrices(grids, [1e-300])
+
+
+def test_coefficient_matrix_peak_memory_is_below_three_results():
+    # 1024 nodes x 1024 frequencies, apply_weights' largest dense block: the
+    # phases are exponentiated and scaled in place, and the phase reduction
+    # holds one temporary fewer, so the traced peak is 2.5x the 16 MiB result
+    # (it was 3.0x, 48.1 MiB).
+    import tracemalloc
+
+    grid = UniformGrid(-1.0, 2.0, 1023)
+    omegas = np.linspace(-300.0, 300.0, 1024)
+    tracemalloc.start()
+    try:
+        result = coefficient_matrix(grid, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (1024, 1024)
+    assert peak <= 2.6 * result.nbytes
+
+
 def test_grid_rejects_non_finite_ends():
     for a, b, n in [(0.0, math.inf, 4), (math.nan, 1.0, 4), (-1e308, 1e308, 1)]:
         with pytest.raises(ValueError):
